@@ -6,8 +6,15 @@ reranking. Retrieval encodes the query, asks a MIPS backend for the
 k_candidates documents with the largest (asymmetric) dot product, and
 reranks those candidates with exact Chamfer similarity.
 
-The shipped backend is an exact scan; anything implementing
+The shipped dense backend is an exact scan: one float32 matrix-vector
+product, a proven per-row rounding-error bound that shortlists every row
+that can still reach the top k, and an exact float64 rescore of that
+shortlist. It returns the ranking a float64 scan of every row returns,
+without widening the stored matrix. Anything implementing
 ``search(query_values, k) -> [(doc_id, dot), ...]`` can be swapped in.
+
+Non-finite input fails loudly: documents, query tokens and query
+encodings with a NaN or inf entry raise ValueError.
 
 Ball carving optionally shrinks the query before reranking: query tokens
 are greedily grouped at a dot-product threshold tau and each group is
@@ -60,16 +67,57 @@ class CarvedQuery:
         return self.vectors.shape[0]
 
 
+_F32_UNIT = 2.0 ** -24  # unit roundoff of float32
+
+
 class ExactScanBackend:
-    """Dense MIPS by scanning every stored encoding."""
+    """Dense MIPS over float32 encodings, ranked exactly as a float64 scan.
+
+    ``fdes`` is an (n, d) float32 matrix with finite entries. A query q is
+    scanned with one float32 matvec against q32 = float32(q). Row i's
+    float32 dot is within
+
+        e_i = 2·((d+4)·u·‖q‖ + ‖q − q32‖)·‖F_i‖ + d·2⁻¹²⁰,   u = 2⁻²⁴,
+
+    of the float64 rescore: the summation rounding of both scans, the
+    rounding of q to float32 (underflow included) and float32 products
+    that underflow, with a factor-2 margin. Rows whose upper bound lies
+    below the k-th largest lower bound are strictly beaten by k rows and
+    dropped. The rest are rescored in float64 by a non-BLAS einsum, which
+    gives a row the same value whatever other rows are selected (a BLAS
+    gemv does not; the tests check this), and ranked by (-dot, ascending
+    doc id). The result equals that of a float64 scan of every row. When
+    the float32 scan overflows, or d·u > 1/4 where the bound no longer
+    holds, every row is rescored. No (n, d) float64 array is made.
+    """
 
     def __init__(self, doc_ids: np.ndarray, fdes: np.ndarray):
         self.doc_ids = doc_ids
         self.fdes = fdes
+        dim = fdes.shape[1]
+        self._norms = np.sqrt(np.einsum("ij,ij->i", fdes, fdes, dtype=np.float64))
+        # float32 squares cannot overflow float64: a non-finite norm means a non-finite entry
+        if not np.isfinite(self._norms).all():
+            raise ValueError("dense encodings must be finite")
+        self._coef = 2 * (dim + 4) * _F32_UNIT if dim * _F32_UNIT <= 0.25 else np.inf
+        self._floor = dim * 2.0 ** -120
 
     def search(self, query_values: np.ndarray, k: int):
-        dots = self.fdes.astype(np.float64, copy=False) @ np.asarray(query_values, dtype=np.float64)
-        return _top_by_dot(self.doc_ids, dots, k)
+        if k < 1:
+            return []
+        q = np.asarray(query_values, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q32 = q.astype(np.float32)
+            approx = self.fdes @ q32
+            slack = self._norms * (self._coef * np.linalg.norm(q) + 2 * np.linalg.norm(q - q32)) + self._floor
+        if np.isfinite(approx).all() and np.isfinite(slack).all():
+            lo = approx - slack
+            kth = len(lo) - min(k, len(lo))
+            rows = np.flatnonzero(approx + slack >= np.partition(lo, kth)[kth])
+        else:
+            rows = slice(None)
+        dots = np.einsum("ij,j->i", self.fdes[rows], q, dtype=np.float64, casting="safe")
+        return _top_by_dot(self.doc_ids[rows], dots, k)
 
 
 class PqScanBackend:
@@ -90,6 +138,12 @@ def _top_by_dot(ids: np.ndarray, dots: np.ndarray, k: int):
     return [(int(ids[i]), float(dots[i])) for i in order]
 
 
+def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+    return x
+
+
 class FdeIndex:
     """Immutable searchable collection of document encodings."""
 
@@ -105,6 +159,11 @@ class FdeIndex:
             raise ValueError("index stores either dense encodings or codes+codebook, exactly one")
         if codebook is not None and (codes is None or codes.shape[0] != len(self.doc_ids)):
             raise ValueError("compressed index needs one code row per document")
+        if dense is not None:
+            want = (len(self.doc_ids), fde_dim(config))
+            if not isinstance(dense, np.ndarray) or dense.dtype != np.float32 or dense.shape != want:
+                got = f"{dense.dtype} {dense.shape}" if isinstance(dense, np.ndarray) else type(dense).__name__
+                raise ValueError(f"dense encodings must be a float32 array of shape {want}, got {got}")
         self.dense = dense
         self.codebook = codebook
         self.codes = codes
@@ -153,6 +212,8 @@ def build_index(corpus: Sequence, config: FdeConfig, pq: PqSpec | None = None,
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
     mats = [as_matrix(p) for p in corpus]
+    for i, m in enumerate(mats):
+        _require_finite(m, f"document {i} tokens")
     dims = {m.shape[1] for m in mats}
     if len(dims) != 1:
         raise ValueError(f"corpus has mixed dimensions: {sorted(dims)}")
@@ -178,7 +239,7 @@ def mips_search(index: FdeIndex, query_fde, k_candidates: int):
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (index.fde_dim,):
         raise ValueError(f"query encoding has shape {values.shape}, index stores dimension {index.fde_dim}")
-    return index.backend.search(values, k_candidates)
+    return index.backend.search(_require_finite(values, "query encoding"), k_candidates)
 
 
 def ball_carve(Q, tau: float) -> CarvedQuery:
@@ -219,7 +280,8 @@ def query(index: FdeIndex, Q, k_candidates: int, final_k: int,
     if final_k < 1 or final_k > k_candidates:
         raise ValueError(f"need 1 <= final_k <= k_candidates, got final_k={final_k}, k_candidates={k_candidates}")
     t0 = time.perf_counter()
-    qvals = generate_query_fdes([Q], index.config)[0]
+    _require_finite(as_matrix(Q), "query tokens")
+    qvals = _require_finite(generate_query_fdes([Q], index.config)[0], "query encoding")
     t1 = time.perf_counter()
     candidates = index.backend.search(qvals, k_candidates)
     t2 = time.perf_counter()

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fdesearch.chamfer import brute_force_topk, chamfer
-from fdesearch.encoding import FdeConfig, generate_query_fde, generate_query_fdes
-from fdesearch.engine import PqSpec, ball_carve, batch_query, build_index, mips_search, query
+from fdesearch.encoding import FdeConfig, fde_dim, generate_query_fde, generate_query_fdes
+from fdesearch.engine import FdeIndex, PqSpec, ball_carve, batch_query, build_index, mips_search, query
 from fdesearch.pq import pq_decode_many
 from fdesearch.synth import SynthSpec, generate_synthetic
 
@@ -233,3 +233,50 @@ def test_rerank_requires_attached_corpus(small_dataset):
     index.corpus = None
     with pytest.raises(ValueError):
         query(index, queries[0], k_candidates=5, final_k=5)
+
+
+@pytest.mark.parametrize("bad", ["width", "rows", "float64", "nan"])
+def test_index_rejects_malformed_dense(bad):
+    dense = np.ones((3, fde_dim(CFG)), dtype=np.float32)
+    FdeIndex([0, 1, 2], CFG, dense=dense)
+    if bad == "width":
+        dense = dense[:, 1:]
+    elif bad == "rows":
+        dense = dense[1:]
+    elif bad == "float64":
+        dense = dense.astype(np.float64)
+    else:
+        dense[1, 5] = np.nan
+    with pytest.raises(ValueError):
+        FdeIndex([0, 1, 2], CFG, dense=dense)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_rejects_non_finite_document_tokens(small_dataset, bad):
+    corpus, _, _ = small_dataset
+    doc = corpus[3].copy()
+    doc[1, 2] = bad
+    with pytest.raises(ValueError):
+        build_index(corpus[:3] + [doc], CFG)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_query_rejects_non_finite_tokens_and_encodings(small_dataset, bad):
+    corpus, queries, _ = small_dataset
+    index = build_index(corpus, CFG)
+    Q = queries[0].copy()
+    Q[0, 0] = bad
+    with pytest.raises(ValueError):
+        query(index, Q, k_candidates=5, final_k=5)
+    qvals = generate_query_fde(queries[0], CFG).values.copy()
+    qvals[7] = bad
+    with pytest.raises(ValueError):
+        mips_search(index, qvals, 5)
+
+
+def test_query_rejects_an_encoding_that_overflows(small_dataset):
+    corpus, _, _ = small_dataset
+    index = build_index(corpus, CFG)
+    Q = np.full((4, 32), 1e308)  # finite tokens whose cluster sum overflows
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        query(index, Q, k_candidates=5, final_k=5)
