@@ -14,7 +14,6 @@ from .encoding import (
     FdeConfig,
     config_fingerprint,
     fde_dim,
-    final_project,
     generate_doc_fde,
     generate_doc_fdes,
     generate_query_fde,
@@ -50,7 +49,6 @@ from .evaluation import (
 from .partition import (
     KMeansPartitioner,
     SimHashPartitioner,
-    assign,
     assign_many,
     hamming,
     kmeans_train,
@@ -59,9 +57,6 @@ from .partition import (
 )
 from .pq import (
     PqCodebook,
-    pq_asymmetric_dot,
-    pq_decode,
-    pq_encode,
     pq_encode_many,
     pq_train,
 )

@@ -10,18 +10,21 @@ Typical round trip:
 
 Every produced artifact embeds the resolved configuration (seed included)
 so results can be regenerated. A flat key=value config file can preset
-build flags; explicit flags win.
+build flags (the FdeConfig parameter names, reps, kmeans_b and pq; any
+other key is an error); explicit flags win. ``synth --spec`` reads back a
+written synth.cfg.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from . import dataio
-from .encoding import FdeConfig, with_kmeans_partitions
+from .encoding import PARAM_NAMES, FdeConfig, config_params, with_kmeans_partitions
 from .engine import DEFAULT_CARVE_TAU, PqSpec, batch_query, build_index
 from .evaluation import recall_at_n, reports_to_jsonl, reports_to_table
 from .svheuristic import build_token_index, sv_candidates
@@ -29,10 +32,7 @@ from .synth import SynthSpec, synth_gen
 
 
 def _parse_tokens(text: str):
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return (int(lo), int(hi))
-    return int(text)
+    return dataio.fields_from_text(SynthSpec, {"tokens_per_doc": text}, "--tokens")["tokens_per_doc"]
 
 
 def _parse_pq(text: str) -> PqSpec:
@@ -50,12 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus/queries/qrels dataset")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--spec", help="key=value spec file (flags override)")
-    p.add_argument("--docs", type=int)
-    p.add_argument("--tokens", type=_parse_tokens, help="tokens per doc: N or LO:HI")
+    p.add_argument("--docs", type=int, dest="num_docs")
+    p.add_argument("--tokens", type=_parse_tokens, dest="tokens_per_doc", help="tokens per doc: N or LO:HI")
     p.add_argument("--dim", type=int)
-    p.add_argument("--clusters", type=int)
+    p.add_argument("--clusters", type=int, dest="num_clusters")
     p.add_argument("--noise", type=float)
-    p.add_argument("--queries", type=int)
+    p.add_argument("--queries", type=int, dest="num_queries")
     p.add_argument("--query-tokens", type=int)
     p.add_argument("--query-noise", type=float)
     p.add_argument("--doc-bias", type=float)
@@ -67,9 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file (flags override)")
     p.add_argument("--k-sim", type=int)
     p.add_argument("--d-proj", type=int)
-    p.add_argument("--reps", type=int)
+    p.add_argument("--reps", type=int, dest="r_reps")
     p.add_argument("--d-final", type=int)
-    p.add_argument("--no-fill-empty", action="store_true")
+    p.add_argument("--no-fill-empty", action="store_false", dest="fill_empty", default=None)
     p.add_argument("--partitioner", choices=["simhash", "kmeans"])
     p.add_argument("--kmeans-b", type=int, help="centers for the kmeans partitioner")
     p.add_argument("--kmeans-all-tokens", action="store_true",
@@ -123,36 +123,11 @@ def _read_corpus(path, fmt: str, normalize: bool):
 
 
 def _cmd_synth(args) -> int:
-    values: dict = {}
+    values = {}
     if args.spec:
-        raw = dataio.read_config_file(args.spec)
-        if "num_docs" in raw:
-            values["num_docs"] = int(raw["num_docs"])
-        if "tokens_per_doc" in raw:
-            values["tokens_per_doc"] = _parse_tokens(raw["tokens_per_doc"])
-        if "dim" in raw:
-            values["dim"] = int(raw["dim"])
-        if "num_clusters" in raw:
-            values["num_clusters"] = int(raw["num_clusters"])
-        if "noise" in raw:
-            values["noise"] = float(raw["noise"])
-        if "num_queries" in raw:
-            values["num_queries"] = int(raw["num_queries"])
-        if raw.get("query_tokens"):
-            values["query_tokens"] = int(raw["query_tokens"])
-        if raw.get("query_noise"):
-            values["query_noise"] = float(raw["query_noise"])
-        if "doc_bias" in raw:
-            values["doc_bias"] = float(raw["doc_bias"])
-        if "seed" in raw:
-            values["seed"] = int(raw["seed"])
-    overrides = {
-        "num_docs": args.docs, "tokens_per_doc": args.tokens, "dim": args.dim,
-        "num_clusters": args.clusters, "noise": args.noise,
-        "num_queries": args.queries, "query_tokens": args.query_tokens,
-        "query_noise": args.query_noise, "doc_bias": args.doc_bias, "seed": args.seed,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
+        values = dataio.fields_from_text(SynthSpec, dataio.read_config_file(args.spec), args.spec)
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SynthSpec)}
+    values.update({k: v for k, v in flags.items() if v is not None})
     spec = SynthSpec(**values)
     paths = synth_gen(spec, args.out)
     for name, path in paths.items():
@@ -160,50 +135,36 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_build(args) -> int:
-    preset: dict = {}
-    if args.config:
-        preset = dataio.read_config_file(args.config)
+def _read_build_preset(path) -> dict:
+    """Build settings from a key=value file: FdeConfig parameters (reps spells r_reps), kmeans_b, pq."""
+    raw = dataio.read_config_file(path)
+    if "reps" in raw:
+        if "r_reps" in raw:
+            raise ValueError(f"{path}: give reps or r_reps, not both")
+        raw["r_reps"] = raw.pop("reps")
+    preset = {key: parse(raw.pop(key)) for key, parse in (("kmeans_b", int), ("pq", _parse_pq)) if key in raw}
+    return {**preset, **dataio.fields_from_text(FdeConfig, raw, path, names=PARAM_NAMES)}
 
-    def setting(flag_value, key, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if key in preset:
-            return cast(preset[key])
-        return default
+
+def _cmd_build(args) -> int:
+    preset = _read_build_preset(args.config) if args.config else {}
+    flags = {k: getattr(args, k, None) for k in (*PARAM_NAMES, "kmeans_b", "pq")}
+    settings = {**preset, **{k: v for k, v in flags.items() if v is not None}}
+    kmeans_b = settings.pop("kmeans_b", 16)
+    pq = settings.pop("pq", None)
 
     records = _read_corpus(args.corpus, args.input_format, args.normalize)
-    dim = records[0][1].shape[1]
-    if args.no_fill_empty:
-        fill_empty = False
-    elif "fill_empty" in preset:
-        fill_empty = preset["fill_empty"].lower() in ("1", "true", "yes")
-    else:
-        fill_empty = True
-    config = FdeConfig(
-        dim=dim,
-        k_sim=setting(args.k_sim, "k_sim", int, 4),
-        d_proj=setting(args.d_proj, "d_proj", int, None),
-        r_reps=setting(args.reps, "reps", int, 10),
-        d_final=setting(args.d_final, "d_final", int, None),
-        fill_empty=fill_empty,
-        seed=setting(args.seed, "seed", int, 0),
-    )
-    partitioner = setting(args.partitioner, "partitioner", str, "simhash")
-    if partitioner == "kmeans":
-        b = setting(args.kmeans_b, "kmeans_b", int, 16)
+    settings.setdefault("dim", records[0][1].shape[1])
+    config = FdeConfig(**settings)
+    if config.partitioner == "kmeans":
         tokens = np.vstack([m for _, m in records])
-        config = with_kmeans_partitions(config, tokens, b,
+        config = with_kmeans_partitions(config, tokens, kmeans_b,
                                         max_tokens=None if args.kmeans_all_tokens else 100_000)
-    pq = args.pq
-    if pq is None and "pq" in preset:
-        pq = _parse_pq(preset["pq"])
 
     ids = [i for i, _ in records]
     index = build_index([m for _, m in records], config, pq=pq, doc_ids=ids)
     dataio.write_index(args.out, index)
-    print(f"indexed {index.num_docs} documents, fde_dim={index.fde_dim}, "
-          f"storage={'pq' if index.codebook is not None else 'dense'}, "
+    print(f"indexed {index.num_docs} documents, fde_dim={index.fde_dim}, storage={index.storage}, "
           f"bytes/doc={index.payload_bytes_per_doc}, fingerprint={index.fingerprint}")
     return 0
 
@@ -215,13 +176,9 @@ def _cmd_query(args) -> int:
     results = batch_query(index, [m for _, m in queries], args.k_candidates, args.final_k,
                           carve_tau=args.carve_tau, workers=args.workers)
     run = {qid: res.ranking for (qid, _), res in zip(queries, results)}
-    cfg = index.config
     meta = {
         "fingerprint": index.fingerprint, "k_candidates": args.k_candidates,
-        "final_k": args.final_k, "carve_tau": args.carve_tau,
-        "dim": cfg.dim, "k_sim": cfg.k_sim, "d_proj": cfg.proj_dim, "r_reps": cfg.r_reps,
-        "d_final": cfg.d_final, "fill_empty": cfg.fill_empty,
-        "partitioner": cfg.partitioner, "seed": cfg.seed,
+        "final_k": args.final_k, "carve_tau": args.carve_tau, **config_params(index.config),
     }
     dataio.write_run(args.out, run, meta)
     total = {k: sum(r.timings[k] for r in results) for k in ("fde_gen", "mips", "rerank")}

@@ -11,7 +11,9 @@
 * qrels: tab-separated ``query_id<TAB>doc_id<TAB>grade`` lines.
 * run: tab-separated ``query_id<TAB>doc_id<TAB>rank<TAB>score`` lines;
   ``#`` lines carry the resolved configuration that produced the run.
-* config: flat ``key=value`` text.
+* config: flat ``key=value`` text. Dataclass fields are written and read
+  back through their annotations (:func:`fields_from_text`): ``None`` is an
+  empty value, a tuple is ``a:b``, a bool is ``True``/``False``.
 
 Binary readers validate magic/version and report truncation with byte
 offsets. write-then-read round-trips are bit-exact.
@@ -19,14 +21,18 @@ offsets. write-then-read round-trips are bit-exact.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
+import types
+import typing
+from collections import Counter
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoding import FdeConfig, config_fingerprint
+from .encoding import PARAM_NAMES, FdeConfig, config_fingerprint, config_params, fde_dim
 from .engine import FdeIndex
 from .partition import KMeansPartitioner
 from .pq import PqCodebook
@@ -159,32 +165,102 @@ def read_text_embeddings(path) -> list:
     return records
 
 
-def _config_to_json(config: FdeConfig) -> dict:
-    return {
-        "dim": config.dim, "k_sim": config.k_sim, "d_proj": config.d_proj,
-        "r_reps": config.r_reps, "d_final": config.d_final,
-        "fill_empty": config.fill_empty, "partitioner": config.partitioner,
-        "seed": config.seed,
-    }
+def _field_types(cls, names: Sequence[str]) -> dict:
+    """Each named field of dataclass cls mapped to the types its annotation allows."""
+    hints = typing.get_type_hints(cls)
+    union = (typing.Union, types.UnionType)
+    return {n: typing.get_args(hints[n]) if typing.get_origin(hints[n]) in union else (hints[n],) for n in names}
 
 
-def _config_from_json(obj: Mapping, partitioners=None) -> FdeConfig:
-    return FdeConfig(dim=int(obj["dim"]), k_sim=int(obj["k_sim"]),
-                     d_proj=None if obj["d_proj"] is None else int(obj["d_proj"]),
-                     r_reps=int(obj["r_reps"]),
-                     d_final=None if obj["d_final"] is None else int(obj["d_final"]),
-                     fill_empty=bool(obj["fill_empty"]), partitioner=str(obj["partitioner"]),
-                     seed=int(obj["seed"]), kmeans_partitioners=partitioners)
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _from_text(allowed: tuple, text: str):
+    for t in allowed:
+        try:
+            if t is type(None):
+                if text in ("", "None"):
+                    return None
+            elif t is bool:
+                return _BOOLS[text.lower()]
+            elif typing.get_origin(t) is tuple:  # a:b
+                parts, item_types = text.split(":"), typing.get_args(t)
+                if len(parts) == len(item_types):
+                    return tuple(it(p) for it, p in zip(item_types, parts))
+            else:
+                return t(text)
+        except (KeyError, ValueError):
+            pass
+    raise ValueError(f"cannot parse {text!r} as {' or '.join(t.__name__ for t in allowed)}")
+
+
+def _to_text(value) -> str:
+    if isinstance(value, tuple):
+        return ":".join(str(v) for v in value)
+    return "" if value is None else str(value)
+
+
+def fields_from_text(cls, raw: Mapping, where, names: Sequence[str] | None = None) -> dict:
+    """Typed values for the dataclass fields named in a key=value mapping.
+
+    Keys must be fields of cls (or among names, when given); values are
+    parsed by the field annotations. An unknown key or a value that does not
+    parse raises ValueError naming where.
+    """
+    allowed = _field_types(cls, names or [f.name for f in dataclasses.fields(cls)])
+    out = {}
+    for key, text in raw.items():
+        if key not in allowed:
+            raise ValueError(f"{where}: unknown key {key!r}; the {cls.__name__} fields are {', '.join(allowed)}")
+        try:
+            out[key] = _from_text(allowed[key], text)
+        except ValueError as e:
+            raise ValueError(f"{where}: {key}: {e}") from None
+    return out
+
+
+def _header_value(obj, key: str, allowed: tuple, path, where: str = ""):
+    """obj[key] from a JSON header, checked against the allowed exact types."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{path}: index header has no {where}{key}")
+    value = obj[key]
+    if type(value) not in allowed:  # exact: JSON true is not an int here
+        raise ValueError(f"{path}: index header {where}{key} is {type(value).__name__}, "
+                         f"expected {' or '.join(t.__name__ for t in allowed)}")
+    return value
+
+
+def _header_count(obj, key: str, path, where: str = "", least: int = 0) -> int:
+    value = _header_value(obj, key, (int,), path, where)
+    if value < least:
+        raise ValueError(f"{path}: index header {where}{key}={value} must be >= {least}")
+    return value
+
+
+_CONFIG_TYPES = _field_types(FdeConfig, PARAM_NAMES)
+
+
+def _config_from_header(header, path) -> FdeConfig:
+    """The config of an index header, without k-means partitioners.
+
+    d_proj and d_final may be null (files that stored an unresolved d_proj).
+    """
+    obj = _header_value(header, "config", (dict,), path)
+    unknown = sorted(set(obj) - set(_CONFIG_TYPES))
+    if unknown:
+        raise ValueError(f"{path}: index header config has unknown keys {unknown}")
+    return FdeConfig(**{name: _header_value(obj, name, allowed, path, "config.")
+                        for name, allowed in _CONFIG_TYPES.items()})
 
 
 def write_index(path, index: FdeIndex) -> None:
     """Serialize an index; the raw corpus is not stored."""
     header = {
-        "config": _config_to_json(index.config),
+        "config": config_params(index.config),
         "fingerprint": index.fingerprint,
         "num_docs": index.num_docs,
         "fde_dim": index.fde_dim,
-        "storage": "dense" if index.dense is not None else "pq",
+        "storage": index.storage,
     }
     if index.config.kmeans_partitioners is not None:
         parts = index.config.kmeans_partitioners
@@ -215,30 +291,41 @@ def read_index(path, corpus_records: Sequence | None = None) -> FdeIndex:
     rd.expect_version()
     hdr_len = rd.u32("header length")
     header = json.loads(rd.take(hdr_len, "header").decode())
-    num_docs = int(header["num_docs"])
+    config = _config_from_header(header, path)
+    fingerprint = _header_value(header, "fingerprint", (str,), path)
+    num_docs = _header_count(header, "num_docs", path)
+    dim = _header_count(header, "fde_dim", path)
+    storage = _header_value(header, "storage", (str,), path)
+    if storage not in ("dense", "pq"):
+        raise ValueError(f"{path}: index header storage must be 'dense' or 'pq', got {storage!r}")
+    for section, present in (("kmeans", config.partitioner == "kmeans"), ("pq", storage == "pq")):
+        if present:
+            _header_value(header, section, (dict,), path)
+        elif section in header:
+            raise ValueError(f"{path}: index header has a {section} section its config does not use")
+
     doc_ids = rd.array("<u8", num_docs, "doc ids").astype(np.int64)
-
-    partitioners = None
-    if "kmeans" in header:
-        b = int(header["kmeans"]["b"])
-        requested = int(header["kmeans"].get("requested_b", b))
-        dim = int(header["config"]["dim"])
-        partitioners = []
-        for rep in range(int(header["config"]["r_reps"])):
-            centers = rd.array("<f8", b * dim, f"kmeans centers rep {rep}").reshape(b, dim)
-            partitioners.append(KMeansPartitioner(centers=centers, requested_b=requested))
-        partitioners = tuple(partitioners)
-    config = _config_from_json(header["config"], partitioners)
-    if config_fingerprint(config) != header["fingerprint"]:
+    if config.partitioner == "kmeans":
+        b = _header_count(header["kmeans"], "b", path, "kmeans.", least=1)
+        requested = _header_count(header["kmeans"], "requested_b", path, "kmeans.")
+        partitioners = tuple(
+            KMeansPartitioner(centers=rd.array("<f8", b * config.dim, f"kmeans centers rep {rep}")
+                              .reshape(b, config.dim), requested_b=requested)
+            for rep in range(config.r_reps))
+        config = dataclasses.replace(config, kmeans_partitioners=partitioners)
+    if config_fingerprint(config) != fingerprint:
         raise ValueError(f"{path}: stored fingerprint does not match the stored config; file is corrupt")
+    if dim != fde_dim(config):
+        raise ValueError(f"{path}: index header fde_dim={dim} does not match its config ({fde_dim(config)})")
 
-    if header["storage"] == "dense":
-        dense = rd.array("<f4", num_docs * int(header["fde_dim"]), "encodings")
-        dense = dense.reshape(num_docs, int(header["fde_dim"]))
+    if storage == "dense":
+        dense = rd.array("<f4", num_docs * dim, "encodings").reshape(num_docs, dim)
         index = FdeIndex(doc_ids, config, dense=dense)
     else:
-        pq_h = header["pq"]
-        groups, c, g = int(pq_h["num_groups"]), int(pq_h["c"]), int(pq_h["g"])
+        groups, c, g = (_header_count(header["pq"], key, path, "pq.", least=1) for key in ("num_groups", "c", "g"))
+        if groups * g != dim or c > 256:
+            raise ValueError(f"{path}: index header pq shape ({groups} groups x {g} dims, {c} centers) "
+                             f"does not fit fde_dim={dim} with one-byte codes")
         effective = rd.array("<u2", groups, "effective center counts").astype(np.int64)
         centers = rd.array("<f8", groups * c * g, "codebook").reshape(groups, c, g)
         codes = rd.array("u1", num_docs * groups, "codes").reshape(num_docs, groups)
@@ -248,6 +335,9 @@ def read_index(path, corpus_records: Sequence | None = None) -> FdeIndex:
 
     if corpus_records is not None:
         by_id = {int(i): m for i, m in corpus_records}
+        if len(by_id) != len(corpus_records):
+            repeated = sorted(i for i, n in Counter(int(i) for i, _ in corpus_records).items() if n > 1)
+            raise ValueError(f"{path}: corpus records repeat doc ids, e.g. {repeated[:5]}")
         missing = [int(d) for d in doc_ids if int(d) not in by_id]
         if missing:
             raise ValueError(f"{path}: corpus records missing indexed doc ids, e.g. {missing[:5]}")
@@ -318,7 +408,8 @@ def read_run(path) -> tuple[dict, dict]:
 
 
 def write_config_file(path, values: Mapping) -> None:
-    lines = [f"{k}={values[k]}" for k in sorted(values)]
+    """Write sorted key=value lines; values are formatted as fields_from_text reads them."""
+    lines = [f"{k}={_to_text(values[k])}" for k in sorted(values)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -346,24 +437,10 @@ def inspect_path(path) -> str:
                 f"tokens per record min/mean/max = {min(tokens)}/{sum(tokens) / len(tokens):.1f}/{max(tokens)}")
     if head == INDEX_MAGIC:
         index = read_index(p)
-        cfg = index.config
-        lines = [
-            "index file:",
-            f"  num_docs     = {index.num_docs}",
-            f"  dim          = {cfg.dim}",
-            f"  k_sim        = {cfg.k_sim}",
-            f"  d_proj       = {cfg.proj_dim}",
-            f"  r_reps       = {cfg.r_reps}",
-            f"  d_final      = {cfg.d_final}",
-            f"  fde_dim      = {index.fde_dim}",
-            f"  fill_empty   = {cfg.fill_empty}",
-            f"  partitioner  = {cfg.partitioner}",
-            f"  seed         = {cfg.seed}",
-            f"  storage      = {'dense' if index.dense is not None else 'pq'}",
-            f"  bytes/doc    = {index.payload_bytes_per_doc}",
-            f"  fingerprint  = {index.fingerprint}",
-        ]
-        return "\n".join(lines)
+        rows = {"num_docs": index.num_docs, **config_params(index.config), "fde_dim": index.fde_dim,
+                "storage": index.storage, "bytes/doc": index.payload_bytes_per_doc,
+                "fingerprint": index.fingerprint}
+        return "\n".join(["index file:"] + [f"  {k:<12} = {v}" for k, v in rows.items()])
     text = p.read_text(encoding="utf-8", errors="replace")
     sample = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if sample and all(len(ln.split("\t")) == 4 for ln in sample[:20]):

@@ -43,7 +43,6 @@ from .partition import (
     KMeansPartitioner,
     SimHashPartitioner,
     assign_many,
-    hamming_table,
     kmeans_train,
     simhash_new,
 )
@@ -128,15 +127,25 @@ def fde_dim(config: FdeConfig) -> int:
     return config.d_final
 
 
+PARAM_NAMES = tuple(f.name for f in dataclasses.fields(FdeConfig) if f.name != "kmeans_partitioners")
+
+
+def config_params(config: FdeConfig) -> dict:
+    """The scalar parameters of config in declaration order, d_proj resolved.
+
+    This is the one list that fingerprints, index headers, run metadata,
+    ``inspect`` output and build presets are derived from; trained k-means
+    partitioners are not parameters and are left out.
+    """
+    params = {name: getattr(config, name) for name in PARAM_NAMES}
+    params["d_proj"] = config.proj_dim
+    return params
+
+
 def config_fingerprint(config: FdeConfig) -> str:
     """Short stable digest of every parameter that affects the encoding."""
     h = hashlib.sha256()
-    key = (
-        f"dim={config.dim};k_sim={config.k_sim};d_proj={config.proj_dim};"
-        f"r_reps={config.r_reps};d_final={config.d_final};fill_empty={config.fill_empty};"
-        f"partitioner={config.partitioner};seed={config.seed}"
-    )
-    h.update(key.encode())
+    h.update(";".join(f"{k}={v}" for k, v in config_params(config).items()).encode())
     if config.kmeans_partitioners is not None:
         for p in config.kmeans_partitioners:
             h.update(np.ascontiguousarray(p.centers, dtype=np.float64).tobytes())
@@ -220,14 +229,6 @@ def final_project_many(V, d_final: int, seed: int) -> np.ndarray:
     return out
 
 
-def final_project(v, d_final: int, seed: int) -> np.ndarray:
-    """Project a single vector down to d_final dimensions."""
-    va = np.asarray(v, dtype=np.float64)
-    if va.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {va.shape}")
-    return final_project_many(va[None, :], d_final, seed)[0]
-
-
 def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig,
                   partitioners: Sequence | None = None) -> np.ndarray:
     """Shared query/document encoder over a batch of token matrices."""
@@ -251,7 +252,6 @@ def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig,
     bounds = np.cumsum([0] + [m.shape[0] for m in mats])
     out = np.zeros((len(mats), raw_dim), dtype=np.float64)
 
-    ham = None
     for rep in range(r):
         part = partitioners[rep] if partitioners is not None else partitioner_for_rep(config, rep)
         if part.num_clusters != b:
@@ -259,9 +259,6 @@ def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig,
         idx_all = assign_many(part, stacked)
         S = projection_matrix(config, rep)
         proj_all = stacked if S is None else (stacked @ S.T) / np.sqrt(t)
-        simhash_fill = fill and isinstance(part, SimHashPartitioner)
-        if simhash_fill and ham is None:
-            ham = hamming_table(part.k_sim)
 
         base = rep * b * t
         for j in range(len(mats)):
@@ -276,8 +273,8 @@ def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig,
                 acc[nonempty] /= counts[nonempty, None]
                 if fill and not nonempty.all():
                     empty = np.flatnonzero(~nonempty)
-                    if simhash_fill:
-                        dist = ham[np.ix_(idx, empty)]
+                    if isinstance(part, SimHashPartitioner):
+                        dist = np.bitwise_count(idx[:, None] ^ empty[None, :])  # Hamming distances
                     else:
                         ec = part.centers[empty]
                         pts = stacked[lo:hi]
@@ -288,8 +285,6 @@ def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig,
             out[j, base:base + b * t] = acc.ravel()
     out *= scale
     if config.d_final is not None:
-        if config.d_final >= raw_dim:
-            raise ValueError(f"d_final={config.d_final} must be < the unprojected dimension {raw_dim}")
         out = final_project_many(out, config.d_final, config.seed)
     return out
 

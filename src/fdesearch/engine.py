@@ -13,8 +13,8 @@ shortlist. It returns the ranking a float64 scan of every row returns,
 without widening the stored matrix. Anything implementing
 ``search(query_values, k) -> [(doc_id, dot), ...]`` can be swapped in.
 
-Non-finite input fails loudly: documents, query tokens and query
-encodings with a NaN or inf entry raise ValueError.
+Non-finite input fails loudly: documents, document encodings, query
+tokens and query encodings with a NaN or inf entry raise ValueError.
 
 Ball carving optionally shrinks the query before reranking: query tokens
 are greedily grouped at a dot-product threshold tau and each group is
@@ -183,6 +183,11 @@ class FdeIndex:
         return fde_dim(self.config)
 
     @property
+    def storage(self) -> str:
+        """How the encodings are stored: "dense" or "pq"."""
+        return "dense" if self.dense is not None else "pq"
+
+    @property
     def payload_bytes_per_doc(self) -> int:
         """Bytes of encoding payload per document (dense f32 or code bytes)."""
         if self.dense is not None:
@@ -207,7 +212,8 @@ def build_index(corpus: Sequence, config: FdeConfig, pq: PqSpec | None = None,
 
     Documents are encoded with empty-cluster filling as configured
     (enabled by default). When a PqSpec is given, a codebook is trained on
-    the document encodings and only codes are kept.
+    the document encodings and only codes are kept. Non-finite tokens, and
+    finite tokens whose float32 encoding overflows, raise ValueError.
     """
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
@@ -219,7 +225,11 @@ def build_index(corpus: Sequence, config: FdeConfig, pq: PqSpec | None = None,
         raise ValueError(f"corpus has mixed dimensions: {sorted(dims)}")
     if doc_ids is None:
         doc_ids = range(len(mats))
-    fdes = generate_doc_fdes(mats, config).astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected just below
+        fdes = generate_doc_fdes(mats, config).astype(np.float32)
+    bad = np.flatnonzero(~np.isfinite(fdes).all(axis=1))
+    if bad.size:
+        raise ValueError(f"document {list(doc_ids)[bad[0]]} has a non-finite float32 encoding (overflow)")
     if pq is None:
         return FdeIndex(doc_ids, config, dense=fdes, corpus=mats)
     codebook = pq_train(fdes, c=pq.c, g=pq.g, seed=config.seed)
@@ -281,7 +291,9 @@ def query(index: FdeIndex, Q, k_candidates: int, final_k: int,
         raise ValueError(f"need 1 <= final_k <= k_candidates, got final_k={final_k}, k_candidates={k_candidates}")
     t0 = time.perf_counter()
     _require_finite(as_matrix(Q), "query tokens")
-    qvals = _require_finite(generate_query_fdes([Q], index.config)[0], "query encoding")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected just below
+        qvals = generate_query_fdes([Q], index.config)[0]
+    _require_finite(qvals, "query encoding")
     t1 = time.perf_counter()
     candidates = index.backend.search(qvals, k_candidates)
     t2 = time.perf_counter()

@@ -80,14 +80,6 @@ def simhash_from_gaussians(gaussians) -> SimHashPartitioner:
     return SimHashPartitioner(gaussians=g)
 
 
-def assign(partitioner, x) -> int:
-    """Cluster index of a single d-vector."""
-    xa = np.asarray(x, dtype=np.float64)
-    if xa.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {xa.shape}")
-    return int(assign_many(partitioner, xa[None, :])[0])
-
-
 def assign_many(partitioner, X) -> np.ndarray:
     """Cluster indices for the rows of an (m, d) matrix."""
     Xa = as_matrix(X)
@@ -113,13 +105,6 @@ def hamming(a: int, b: int, k_sim: int) -> int:
     if not (0 <= a < limit and 0 <= b < limit):
         raise ValueError(f"indices must be < 2^{k_sim}, got {a}, {b}")
     return (a ^ b).bit_count()
-
-
-def hamming_table(k_sim: int) -> np.ndarray:
-    """(B, B) matrix of pairwise bit disagreements between all indices."""
-    b = 1 << k_sim
-    ids = np.arange(b, dtype=np.uint32)
-    return np.bitwise_count(ids[:, None] ^ ids[None, :]).astype(np.int64)
 
 
 def lloyd_kmeans(points, k: int, seed: int, max_iters: int = 100, tol: float = 1e-4,

@@ -104,14 +104,6 @@ def pq_encode_many(codebook: PqCodebook, V) -> np.ndarray:
     return codes
 
 
-def pq_encode(codebook: PqCodebook, v) -> np.ndarray:
-    """Encode one vector to one byte per group."""
-    va = np.asarray(v, dtype=np.float64)
-    if va.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {va.shape}")
-    return pq_encode_many(codebook, va[None, :])[0]
-
-
 def _check_codes(codebook: PqCodebook, codes: np.ndarray) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.shape[-1] != codebook.num_groups:
@@ -133,14 +125,6 @@ def pq_decode_many(codebook: PqCodebook, codes) -> np.ndarray:
     return out
 
 
-def pq_decode(codebook: PqCodebook, codes) -> np.ndarray:
-    """Reconstruct a single vector from its codes."""
-    codes = np.asarray(codes)
-    if codes.ndim != 1:
-        raise ValueError(f"expected a 1-D code array, got shape {codes.shape}")
-    return pq_decode_many(codebook, codes[None, :])[0]
-
-
 def pq_table(codebook: PqCodebook, q) -> np.ndarray:
     """Per-query lookup table of group x center partial dot products."""
     qa = np.asarray(q, dtype=np.float64)
@@ -150,15 +134,6 @@ def pq_table(codebook: PqCodebook, q) -> np.ndarray:
     slices = qa.reshape(codebook.num_groups, g)
     # (groups, C): einsum keeps this one contraction rather than a python loop
     return np.einsum("gcd,gd->gc", codebook.centers, slices)
-
-
-def pq_asymmetric_dot(codebook: PqCodebook, codes, q) -> float:
-    """<q, decode(codes)> computed from the per-group lookup table."""
-    codes = _check_codes(codebook, np.asarray(codes))
-    if codes.ndim != 1:
-        raise ValueError(f"expected a 1-D code array, got shape {codes.shape}")
-    table = pq_table(codebook, q)
-    return float(table[np.arange(codebook.num_groups), codes.astype(np.int64)].sum())
 
 
 def pq_asymmetric_dots_many(codebook: PqCodebook, codes_matrix, q) -> np.ndarray:

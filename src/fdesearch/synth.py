@@ -24,7 +24,7 @@ All draws are deterministic in the SynthSpec seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -149,8 +149,9 @@ def generate_synthetic(spec: SynthSpec):
 def synth_gen(spec: SynthSpec, outdir) -> dict:
     """Generate a dataset and write corpus.mvec, queries.mvec, qrels.tsv.
 
-    The resolved spec (including the seed) is echoed to synth.cfg so every
-    dataset is regenerable. Returns the written paths.
+    Every SynthSpec field (the seed included) is echoed to synth.cfg, which
+    ``fdesearch synth --spec`` reads back, so every dataset is regenerable.
+    Returns the written paths.
     """
     from pathlib import Path
 
@@ -168,18 +169,5 @@ def synth_gen(spec: SynthSpec, outdir) -> dict:
     write_mvec(paths["corpus"], docs)
     write_mvec(paths["queries"], queries)
     write_qrels(paths["qrels"], qrels)
-    lo, hi = spec.token_range
-    write_config_file(paths["spec"], {
-        "num_docs": spec.num_docs,
-        "tokens_per_doc": lo if lo == hi else f"{lo}:{hi}",
-        "dim": spec.dim,
-        "num_clusters": spec.num_clusters,
-        "noise": spec.noise,
-        "num_queries": spec.num_queries,
-        "query_tokens": "" if spec.query_tokens is None else spec.query_tokens,
-        "query_noise": QUERY_NOISE_FACTOR * spec.noise if spec.query_noise is None else spec.query_noise,
-        "doc_bias": spec.doc_bias,
-        "relevance_rule": spec.relevance_rule,
-        "seed": spec.seed,
-    })
+    write_config_file(paths["spec"], asdict(spec))
     return paths

@@ -1,6 +1,15 @@
+import dataclasses
+import json
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fdesearch.cli import cli_main
 from fdesearch.dataio import (
     inspect_path,
     read_config_file,
@@ -224,3 +233,86 @@ def test_inspect_summaries(tmp_path, corpus_records):
     rpath = tmp_path / "r.tsv"
     write_run(rpath, {0: [(1, 0.5)]}, meta={"seed": 1})
     assert "run file" in inspect_path(rpath)
+
+
+def test_duplicate_corpus_ids_are_rejected(tmp_path, corpus_records):
+    cfg = FdeConfig(dim=16, k_sim=3, d_proj=4, r_reps=3, seed=2)
+    index = build_index([m for _, m in corpus_records], cfg, doc_ids=[i for i, _ in corpus_records])
+    path = tmp_path / "x.mvix"
+    write_index(path, index)
+    twice = corpus_records + [(corpus_records[3][0], corpus_records[7][1])]
+    with pytest.raises(ValueError, match="repeat"):
+        read_index(path, corpus_records=twice)
+
+
+def _split_index(data: bytes):
+    (length,) = struct.unpack_from("<I", data, 8)
+    return json.loads(data[12:12 + length]), data[12 + length:]
+
+
+def _join_index(header, payload: bytes) -> bytes:
+    hdr = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return b"MVIX" + struct.pack("<II", 1, len(hdr)) + hdr + payload
+
+
+def test_header_with_unresolved_d_proj_reads_back(tmp_path, corpus_records):
+    # files that stored the config field as given keep d_proj (and d_final) null
+    cfg = FdeConfig(dim=16, k_sim=3, d_proj=None, r_reps=4, seed=2)
+    index = build_index([m for _, m in corpus_records], cfg, doc_ids=[i for i, _ in corpus_records])
+    path = tmp_path / "x.mvix"
+    write_index(path, index)
+    header, payload = _split_index(path.read_bytes())
+    assert header["config"]["d_proj"] == 16 and header["config"]["d_final"] is None
+    header["config"]["d_proj"] = None
+    old = tmp_path / "old.mvix"
+    old.write_bytes(_join_index(header, payload))
+    loaded = read_index(old)
+    assert loaded.fingerprint == index.fingerprint == "dc54f33ada6c640e"
+    q = np.zeros(index.fde_dim)
+    q[::7] = 1.0
+    assert [d for d, _ in mips_search(loaded, q, 10)] == [d for d, _ in mips_search(index, q, 10)]
+
+
+@pytest.fixture(scope="module")
+def index_files(tmp_path_factory, corpus_records):
+    out = tmp_path_factory.mktemp("indexes")
+    mats = [m for _, m in corpus_records]
+    cfg = FdeConfig(dim=16, k_sim=3, d_proj=4, r_reps=4, seed=2)
+    kmeans = with_kmeans_partitions(FdeConfig(dim=16, d_proj=4, r_reps=2, seed=5), np.vstack(mats), b=4)
+    files = {}
+    for name, index in (("dense", build_index(mats, cfg)),
+                        ("pq", build_index(mats, cfg, pq=PqSpec(c=16, g=4))),
+                        ("kmeans", build_index(mats, dataclasses.replace(kmeans, d_final=20)))):
+        write_index(out / f"{name}.mvix", index)
+        files[name] = (out / f"{name}.mvix").read_bytes()
+    return files
+
+
+def _header_paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _header_paths(value, prefix + (key,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_malformed_header_raises_value_error(index_files, data):
+    kind = data.draw(st.sampled_from(sorted(index_files)))
+    header, payload = _split_index(index_files[kind])
+    where = data.draw(st.sampled_from(list(_header_paths(header))))
+    parent = header
+    for key in where[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[where[-1]]
+    else:
+        old = parent[where[-1]]
+        parent[where[-1]] = data.draw(st.sampled_from(
+            [v for v in ("x", 1.5, True, 3, [1], {"k": 1}) if type(v) is not type(old)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.mvix"
+        path.write_bytes(_join_index(header, payload))
+        with pytest.raises(ValueError):
+            read_index(path)
+        assert cli_main(["inspect", str(path)]) == 1

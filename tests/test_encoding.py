@@ -7,17 +7,19 @@ from fdesearch.chamfer import nchamfer
 from fdesearch.encoding import (
     FdeConfig,
     config_fingerprint,
+    config_params,
     fde_dim,
-    final_project,
+    final_project_many,
     generate_doc_fde,
     generate_doc_fdes,
     generate_query_fde,
     generate_query_fdes,
     inner_project,
+    partitioner_for_rep,
     projection_matrix,
     with_kmeans_partitions,
 )
-from fdesearch.partition import simhash_from_gaussians
+from fdesearch.partition import assign_many, hamming, simhash_from_gaussians
 from fdesearch.synth import matched_pair
 
 
@@ -213,18 +215,18 @@ def test_inner_projection_preserves_dot_products_on_average():
 
 
 def test_final_projection_basics():
-    assert np.array_equal(final_project(np.zeros(30), 5, seed=0), np.zeros(5))
+    assert np.array_equal(final_project_many([np.zeros(30)], 5, seed=0)[0], np.zeros(5))
     v = np.arange(30, dtype=float)
-    assert np.array_equal(final_project(v, 5, seed=4), final_project(v, 5, seed=4))
+    assert np.array_equal(final_project_many([v], 5, seed=4)[0], final_project_many([v], 5, seed=4)[0])
     with pytest.raises(ValueError):
-        final_project(v, 30, seed=0)
+        final_project_many([v], 30, seed=0)
 
 
 def test_final_projection_preserves_dot_products_on_average():
     rng = np.random.default_rng(10)
     v = rng.standard_normal(40)
     w = rng.standard_normal(40)
-    dots = np.asarray([float(final_project(v, 10, seed=s) @ final_project(w, 10, seed=s))
+    dots = np.asarray([float(final_project_many([v], 10, seed=s)[0] @ final_project_many([w], 10, seed=s)[0])
                        for s in range(500)])
     stderr = dots.std(ddof=1) / np.sqrt(len(dots))
     assert abs(dots.mean() - float(v @ w)) <= 3 * stderr
@@ -271,3 +273,57 @@ def test_fingerprint_tracks_every_parameter():
     for change in (dict(seed=2), dict(k_sim=4), dict(d_proj=2), dict(r_reps=3),
                    dict(fill_empty=False), dict(d_final=10)):
         assert config_fingerprint(dataclasses.replace(base, **change)) != config_fingerprint(base)
+
+
+def test_fill_empty_matches_scalar_hamming_oracle():
+    # every empty cluster of a document holds the token whose hash index has
+    # the fewest disagreeing bits with it, ties to the lowest token index
+    rng = np.random.default_rng(31)
+    for trial in range(20):
+        k_sim = int(rng.integers(1, 8))
+        cfg = FdeConfig(dim=6, k_sim=k_sim, r_reps=1, seed=trial)
+        P = unit_rows(rng, int(rng.integers(1, 6)), 6)
+        idx = assign_many(partitioner_for_rep(cfg, 0), P)
+        blocks = generate_doc_fde(P, cfg).values.reshape(1 << k_sim, 6)
+        for cluster in set(range(1 << k_sim)) - set(idx.tolist()):
+            nearest = min(range(len(P)), key=lambda i: (hamming(idx[i], cluster, k_sim), i))
+            assert np.array_equal(blocks[cluster], P[nearest])
+
+
+def test_doc_fill_memory_does_not_grow_with_the_cluster_count_squared():
+    import tracemalloc
+
+    P = np.random.default_rng(32).standard_normal((4, 8))
+    cfg = FdeConfig(dim=8, k_sim=12, r_reps=1)  # 4096 clusters, 4092 of them empty
+    tracemalloc.start()
+    try:
+        generate_doc_fdes([P], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_fingerprints_are_stable():
+    # digests of files written by earlier versions; a change orphans every stored index
+    tokens = np.random.default_rng(5).standard_normal((200, 8))
+    pinned = [
+        (FdeConfig(dim=32), "12a042a11152d07a"),
+        (FdeConfig(dim=32, k_sim=5, d_proj=8, r_reps=20), "958b463a089c6d6a"),
+        (FdeConfig(dim=16, k_sim=3, d_proj=None, r_reps=4, seed=2), "dc54f33ada6c640e"),
+        (FdeConfig(dim=8, k_sim=3, d_proj=4, r_reps=2, d_final=10, seed=1), "8921ac02933ffe85"),
+        (FdeConfig(dim=8, k_sim=3, d_proj=4, r_reps=2, fill_empty=False, seed=1), "afee95ba81193778"),
+        (with_kmeans_partitions(FdeConfig(dim=8, r_reps=2, seed=3), tokens, b=4), "c09a3143bef32875"),
+    ]
+    for cfg, digest in pinned:
+        assert config_fingerprint(cfg) == digest
+    # an explicit d_proj equal to dim is the same encoding as d_proj=None
+    assert config_fingerprint(FdeConfig(dim=16, k_sim=3, d_proj=16, r_reps=4, seed=2)) == "dc54f33ada6c640e"
+
+
+def test_config_params_lists_every_scalar_field_once():
+    cfg = FdeConfig(dim=16, k_sim=3, r_reps=4, d_final=50, seed=2)
+    params = config_params(cfg)
+    assert list(params) == [f.name for f in dataclasses.fields(FdeConfig) if f.name != "kmeans_partitioners"]
+    assert params["d_proj"] == 16 and params["d_final"] == 50
+    assert config_fingerprint(FdeConfig(**params)) == config_fingerprint(cfg)

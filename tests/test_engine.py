@@ -280,3 +280,22 @@ def test_query_rejects_an_encoding_that_overflows(small_dataset):
     Q = np.full((4, 32), 1e308)  # finite tokens whose cluster sum overflows
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
         query(index, Q, k_candidates=5, final_k=5)
+
+
+@pytest.mark.parametrize("pq", [None, PqSpec(c=4, g=8)])
+def test_build_rejects_encodings_that_overflow_float32(small_dataset, pq):
+    corpus, _, _ = small_dataset
+    huge = np.full_like(corpus[5], 1e39, dtype=np.float64)  # finite in float64, not in float32
+    with pytest.raises(ValueError, match="document 5"):
+        build_index(corpus[:5] + [huge] + corpus[6:10], CFG, pq=pq)
+
+
+def test_huge_query_raises_only_value_error(small_dataset):
+    import warnings
+
+    corpus, _, _ = small_dataset
+    index = build_index(corpus, CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            query(index, np.full((4, 32), 1e308), k_candidates=5, final_k=5)

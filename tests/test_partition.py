@@ -3,10 +3,8 @@ import pytest
 
 from fdesearch.partition import (
     KMeansPartitioner,
-    assign,
     assign_many,
     hamming,
-    hamming_table,
     kmeans_train,
     lloyd_kmeans,
     simhash_from_gaussians,
@@ -44,14 +42,14 @@ def test_k_sim_bounds():
 
 def test_assign_with_injected_hyperplanes():
     part = simhash_from_gaussians([[1.0, 0.0], [0.0, 1.0]])
-    assert assign(part, [0.6, 0.8]) == 3  # both dots positive, bits (1,1)
-    assert assign(part, [0.6, -0.8]) == 1
-    assert assign(part, [-0.6, -0.8]) == 0
+    assert assign_many(part, [[0.6, 0.8]])[0] == 3  # both dots positive, bits (1,1)
+    assert assign_many(part, [[0.6, -0.8]])[0] == 1
+    assert assign_many(part, [[-0.6, -0.8]])[0] == 0
 
 
 def test_zero_dot_hashes_to_bit_zero():
     part = simhash_from_gaussians([[1.0, 0.0], [0.0, 1.0]])
-    assert assign(part, [0.0, 1.0]) == 2  # first dot exactly 0 -> bit 0
+    assert assign_many(part, [[0.0, 1.0]])[0] == 2  # first dot exactly 0 -> bit 0
 
 
 def test_antipodal_points_get_complementary_indices():
@@ -66,7 +64,7 @@ def test_antipodal_points_get_complementary_indices():
 def test_assign_dimension_mismatch():
     part = simhash_new(3, 4, seed=0)
     with pytest.raises(ValueError):
-        assign(part, [1.0, 2.0])
+        assign_many(part, [[1.0, 2.0]])
 
 
 def test_hamming_examples():
@@ -95,13 +93,6 @@ def test_hamming_bounds_and_validation():
         hamming(8, 0, k_sim=3)
 
 
-def test_hamming_table_agrees_with_scalar():
-    table = hamming_table(4)
-    for a in range(16):
-        for b in range(16):
-            assert table[a, b] == hamming(a, b, 4)
-
-
 def test_collision_rate_tracks_angle():
     # single-hyperplane disagreement rate over many seeded hyperplanes
     # approaches angle/pi for unit vectors
@@ -117,7 +108,7 @@ def test_collision_rate_tracks_angle():
         total = 0
         for rep in range(500):  # 500 partitions x 20 hyperplanes = 10,000
             part = simhash_new(20, d, seed=100, rep=rep)
-            disagreements += hamming(assign(part, x), assign(part, y), 20)
+            disagreements += hamming(*assign_many(part, [x, y]), 20)
             total += 20
         rate = disagreements / total
         assert abs(rate - target / np.pi) < 0.02
@@ -135,7 +126,7 @@ def test_kmeans_two_blobs_are_separated():
     assert len(set(labels[40:].tolist())) == 1
     assert labels[0] != labels[40]
     for blob in (blob_a, blob_b):
-        center = part.centers[assign(part, blob.mean(axis=0))]
+        center = part.centers[assign_many(part, [blob.mean(axis=0)])[0]]
         assert np.linalg.norm(center - blob.mean(axis=0)) < 0.2
 
 
@@ -175,4 +166,4 @@ def test_lloyd_mse_never_increases():
 
 def test_kmeans_assignment_ties_go_to_lowest_index():
     part = KMeansPartitioner(centers=np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    assert assign(part, [0.0, 5.0]) == 0  # equidistant
+    assert assign_many(part, [[0.0, 5.0]])[0] == 0  # equidistant

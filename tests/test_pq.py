@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from fdesearch.pq import (
-    pq_asymmetric_dot,
     pq_asymmetric_dots_many,
-    pq_decode,
     pq_decode_many,
-    pq_encode,
     pq_encode_many,
     pq_train,
 )
@@ -54,7 +51,7 @@ def test_ten_k_dim_vectors_compress_to_1280_bytes():
     rng = np.random.default_rng(5)
     vectors = rng.standard_normal((40, 10240))
     book = pq_train(vectors, c=256, g=8, seed=0)
-    codes = pq_encode(book, vectors[0])
+    codes = pq_encode_many(book, [vectors[0]])[0]
     assert codes.nbytes == 1280
     assert book.code_bytes == 1280
     # 32x versus 4-byte-per-dimension dense storage
@@ -66,9 +63,9 @@ def test_vector_of_centers_round_trips_exactly():
     vectors = rng.standard_normal((50, 6))
     book = pq_train(vectors, c=8, g=3, seed=1)
     v = np.concatenate([book.centers[0, 3], book.centers[1, 5]])
-    codes = pq_encode(book, v)
+    codes = pq_encode_many(book, [v])[0]
     assert np.array_equal(codes, [3, 5])
-    assert np.allclose(pq_decode(book, codes), v, atol=1e-12)
+    assert np.allclose(pq_decode_many(book, [codes])[0], v, atol=1e-12)
 
 
 def test_per_group_error_matches_exhaustive_nearest_center():
@@ -76,8 +73,8 @@ def test_per_group_error_matches_exhaustive_nearest_center():
     vectors = rng.standard_normal((120, 8))
     book = pq_train(vectors, c=16, g=4, seed=2)
     for v in rng.standard_normal((20, 8)):
-        codes = pq_encode(book, v)
-        decoded = pq_decode(book, codes)
+        codes = pq_encode_many(book, [v])[0]
+        decoded = pq_decode_many(book, [codes])[0]
         for grp in range(2):
             sl = v[grp * 4:(grp + 1) * 4]
             got = np.linalg.norm(decoded[grp * 4:(grp + 1) * 4] - sl)
@@ -94,8 +91,8 @@ def test_asymmetric_dot_equals_decode_then_dot():
     for _ in range(50):
         q = rng.standard_normal(16)
         i = int(rng.integers(0, 200))
-        expected = float(q @ pq_decode(book, codes[i]))
-        assert pq_asymmetric_dot(book, codes[i], q) == pytest.approx(expected, abs=1e-6)
+        expected = float(q @ pq_decode_many(book, [codes[i]])[0])
+        assert pq_asymmetric_dots_many(book, [codes[i]], q)[0] == pytest.approx(expected, abs=1e-6)
     q = rng.standard_normal(16)
     batch = pq_asymmetric_dots_many(book, codes, q)
     assert np.allclose(batch, pq_decode_many(book, codes) @ q, atol=1e-6)
@@ -105,8 +102,8 @@ def test_zero_query_gives_zero_dot():
     rng = np.random.default_rng(9)
     vectors = rng.standard_normal((50, 8))
     book = pq_train(vectors, c=4, g=4, seed=0)
-    codes = pq_encode(book, vectors[0])
-    assert pq_asymmetric_dot(book, codes, np.zeros(8)) == 0.0
+    codes = pq_encode_many(book, [vectors[0]])[0]
+    assert pq_asymmetric_dots_many(book, [codes], np.zeros(8))[0] == 0.0
 
 
 def test_out_of_range_code_is_rejected():
@@ -114,16 +111,16 @@ def test_out_of_range_code_is_rejected():
     book = pq_train(vectors, c=3, g=2, seed=0)
     bad = np.array([book.effective_c[0]], dtype=np.uint8)
     with pytest.raises(ValueError):
-        pq_asymmetric_dot(book, bad, np.ones(2))
+        pq_asymmetric_dots_many(book, [bad], np.ones(2))
     with pytest.raises(ValueError):
-        pq_decode(book, bad)
+        pq_decode_many(book, [bad])
 
 
 def test_encode_dimension_mismatch():
     rng = np.random.default_rng(10)
     book = pq_train(rng.standard_normal((30, 8)), c=4, g=4, seed=0)
     with pytest.raises(ValueError):
-        pq_encode(book, np.ones(9))
+        pq_encode_many(book, [np.ones(9)])
 
 
 def test_effective_centers_reduce_with_few_distinct_slices():
