@@ -1,0 +1,97 @@
+"""Print a SHA-256 digest of every pipeline output of one benchmark workload.
+
+Run it against two source trees and diff the output to check that a
+refactor leaves every output bit-identical:
+
+    python scripts/output_digest.py --src src --workload pq-1k --seed 0 > new.txt
+    python scripts/output_digest.py --src ../old/src --workload pq-1k --seed 0 > old.txt
+    diff old.txt new.txt
+
+The workloads are the seeded corpora of perfbench/workloads.py at full size.
+Covered outputs: doc encodings, fde_rankings, query() rankings (ids and
+scores, every query), PQ codes, centers and decode, a k-means config
+(centers and doc encodings), and sv_candidates with dedup on and off
+followed by the exact rerank.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def digest(obj) -> str:
+    """Digest of arrays (dtype, shape, bytes) and nested lists of ints/floats."""
+    h = hashlib.sha256()
+
+    def feed(x):
+        if isinstance(x, np.ndarray):
+            h.update(f"{x.dtype}{x.shape}".encode())
+            h.update(np.ascontiguousarray(x).tobytes())
+        elif isinstance(x, (list, tuple)):
+            h.update(b"[")
+            for item in x:
+                feed(item)
+            h.update(b"]")
+        elif isinstance(x, float):
+            h.update(x.hex().encode() + b",")
+        else:
+            h.update(f"{type(x).__name__}:{x},".encode())
+
+    feed(obj)
+    return h.hexdigest()[:16]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", required=True, help="source tree holding the fdesearch package")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
+
+    import fdesearch as fs
+    from fdesearch.pq import pq_decode_many
+    from workloads import WORKLOADS, make_inputs
+
+    wl = WORKLOADS[args.workload]
+    docs, queries = make_inputs(wl, args.seed)
+    corpus = [m for _, m in docs]
+    out = {}
+    if wl.config is None:
+        tindex = fs.build_token_index(corpus)
+        for dedup in (False, True):
+            hits = [fs.sv_candidates(Q, tindex, wl.k_per_query, dedup=dedup) for Q in queries]
+            out[f"sv_candidates.dedup={dedup}"] = hits
+        reranked = [fs.brute_force_topk(Q, [corpus[d] for d in h[:wl.k_candidates]], wl.final_k,
+                                        doc_ids=h[:wl.k_candidates]) for Q, h in zip(queries, hits)]
+        out["sv.rerank"] = reranked
+    else:
+        cfg = wl.config
+        index = fs.build_index(corpus, cfg, pq=wl.pq)
+        out["build_index.storage"] = index.dense if index.dense is not None else index.codes
+        if index.codebook is not None:
+            out["pq.centers"] = index.codebook.centers
+            out["pq.effective_c"] = index.codebook.effective_c
+            out["pq.decode"] = pq_decode_many(index.codebook, index.codes)
+        out["query"] = [fs.query(index, Q, wl.k_candidates, wl.final_k, wl.carve_tau).ranking for Q in queries]
+        out["fde_rankings"] = list(fs.fde_rankings(corpus, queries, cfg, depth=wl.k_candidates).values())
+        km = fs.with_kmeans_partitions(dataclasses.replace(cfg, r_reps=4), np.vstack(corpus), 16)
+        out["kmeans.centers"] = [p.centers for p in km.kmeans_partitioners]
+        km_index = fs.build_index(corpus, km)
+        out["kmeans.doc_fdes"] = km_index.dense
+        out["kmeans.query"] = [fs.query(km_index, Q, wl.k_candidates, wl.final_k).ranking for Q in queries]
+    for name, value in out.items():
+        print(f"{wl.name} seed={args.seed} {name} {digest(value)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,7 @@ for the stored encodings, a single-vector heuristic baseline, an
 evaluation harness, binary file formats, and a CLI.
 """
 
-from .chamfer import MultiVector, brute_force_topk, chamfer, nchamfer
+from .chamfer import brute_force_topk, chamfer, nchamfer
 from .encoding import (
     Fde,
     FdeConfig,

@@ -21,43 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .util import as_matrix
-
-
-class MultiVector:
-    """One query's or document's set of token embeddings.
-
-    Thin wrapper over an (m, d) array. Most functions in this package also
-    accept a bare ndarray; the wrapper exists to carry the ``normalized``
-    flag and to validate shape once at the I/O boundary.
-    """
-
-    __slots__ = ("data", "normalized")
-
-    def __init__(self, data, normalized: bool = False):
-        arr = np.asarray(data)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"MultiVector needs an (m, d) matrix with m,d >= 1, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("MultiVector entries must be finite")
-        if normalized:
-            norms = np.linalg.norm(arr.astype(np.float64), axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-4):
-                worst = float(np.max(np.abs(norms - 1.0)))
-                raise ValueError(f"normalized MultiVector has a row with |norm-1| = {worst:.2e} > 1e-4")
-        self.data = arr
-        self.normalized = bool(normalized)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
-    def __repr__(self) -> str:
-        return f"MultiVector(rows={self.rows}, dim={self.dim}, normalized={self.normalized})"
+from .util import as_matrix, top_k
 
 
 def chamfer(Q, P) -> float:
@@ -88,11 +52,8 @@ def brute_force_topk(Q, corpus: Sequence, k: int, doc_ids: Sequence[int] | None 
     n = len(corpus)
     if n == 0:
         raise ValueError("corpus is empty")
-    if doc_ids is None:
-        doc_ids = range(n)
-    ids = [int(i) for i in doc_ids]
+    ids = np.asarray(range(n) if doc_ids is None else [int(i) for i in doc_ids], dtype=np.int64)
     if len(ids) != n:
         raise ValueError(f"got {len(ids)} doc ids for {n} documents")
-    scored = [(ids[i], chamfer(Q, corpus[i])) for i in range(n)]
-    scored.sort(key=lambda t: (-t[1], t[0]))
-    return scored[: min(k, n)]
+    scores = np.array([chamfer(Q, P) for P in corpus])
+    return [(int(ids[i]), float(scores[i])) for i in top_k(ids, scores, k)]

@@ -112,16 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _read_corpus(path, fmt: str, normalize: bool):
-    if fmt == "text":
-        records = dataio.read_text_embeddings(path)
-        if normalize:
-            records = [(i, (m / np.linalg.norm(m.astype(np.float64), axis=1, keepdims=True)).astype(np.float32))
-                       for i, m in records]
-        return records
-    return dataio.read_mvec(path, normalize=normalize)
-
-
 def _cmd_synth(args) -> int:
     values = {}
     if args.spec:
@@ -153,7 +143,8 @@ def _cmd_build(args) -> int:
     kmeans_b = settings.pop("kmeans_b", 16)
     pq = settings.pop("pq", None)
 
-    records = _read_corpus(args.corpus, args.input_format, args.normalize)
+    read = dataio.read_text_embeddings if args.input_format == "text" else dataio.read_mvec
+    records = read(args.corpus, normalize=args.normalize)
     settings.setdefault("dim", records[0][1].shape[1])
     config = FdeConfig(**settings)
     if config.partitioner == "kmeans":
@@ -205,17 +196,15 @@ def _cmd_baseline(args) -> int:
     corpus = dataio.read_mvec(args.corpus, normalize=args.normalize)
     queries = dataio.read_mvec(args.queries, normalize=args.normalize)
     token_index = build_token_index([m for _, m in corpus], doc_ids=[i for i, _ in corpus])
-    run = {}
-    for qid, Q in queries:
-        run[qid] = sv_candidates(Q, token_index, args.k_per_query, dedup=args.dedup)
+    run = {qid: sv_candidates(Q, token_index, args.k_per_query, dedup=args.dedup) for qid, Q in queries}
+    floats = sum(token_index.scan_cost(len(Q)) for _, Q in queries)
     meta = {
         "method": "sv_heuristic", "k_per_query": args.k_per_query, "dedup": args.dedup,
-        "floats_scanned": token_index.floats_scanned,
+        "floats_scanned": floats,
         "note": "rank column orders candidates; scores are not defined for interleaved lists",
     }
     dataio.write_run(args.out, run, meta)
-    print(f"wrote candidates for {len(run)} queries "
-          f"(floats scanned: {token_index.floats_scanned})")
+    print(f"wrote candidates for {len(run)} queries (floats scanned: {floats})")
     return 0
 
 

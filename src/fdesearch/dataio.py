@@ -89,7 +89,7 @@ def write_mvec(path, records: Sequence) -> None:
     """Write (id, matrix) records; all matrices must share one dimension."""
     if len(records) == 0:
         raise ValueError("no records to write")
-    mats = [np.asarray(getattr(m, "data", m)) for _, m in records]
+    mats = [np.asarray(m) for _, m in records]
     dims = {m.shape[1] for m in mats}
     if len(dims) != 1:
         raise ValueError(f"records have mixed dimensions: {sorted(dims)}")
@@ -102,6 +102,14 @@ def write_mvec(path, records: Sequence) -> None:
         parts.append(struct.pack("<QI", int(doc_id), mat.shape[0]))
         parts.append(np.ascontiguousarray(mat, dtype="<f4").tobytes())
     Path(path).write_bytes(b"".join(parts))
+
+
+def _normalize_rows(mat: np.ndarray, where: str) -> np.ndarray:
+    """mat with every row divided by its norm, as float32; a zero row raises ValueError."""
+    norms = np.linalg.norm(mat.astype(np.float64), axis=1, keepdims=True)
+    if np.any(norms == 0):
+        raise ValueError(f"{where} has a zero row; cannot normalize")
+    return (mat / norms).astype(np.float32)
 
 
 def read_mvec(path, normalize: bool = False) -> list:
@@ -120,20 +128,16 @@ def read_mvec(path, normalize: bool = False) -> list:
         if ntok < 1:
             raise ValueError(f"{path}: record {i} (id {doc_id}) has num_tokens={ntok}, must be >= 1")
         mat = rd.array("<f4", ntok * dim, f"record {i} values").reshape(ntok, dim)
-        if normalize:
-            norms = np.linalg.norm(mat.astype(np.float64), axis=1, keepdims=True)
-            if np.any(norms == 0):
-                raise ValueError(f"{path}: record {i} (id {doc_id}) has a zero row; cannot normalize")
-            mat = (mat / norms).astype(np.float32)
-        records.append((doc_id, mat))
+        records.append((doc_id, _normalize_rows(mat, f"{path}: record {i} (id {doc_id})") if normalize else mat))
     rd.done()
     return records
 
 
-def read_text_embeddings(path) -> list:
+def read_text_embeddings(path, normalize: bool = False) -> list:
     """One-way text import: each line ``id v1 v2 ... vd``.
 
     Consecutive lines sharing an id form one document, in line order.
+    normalize divides rows by their norm, as read_mvec does.
     """
     records = []
     cur_id, cur_rows = None, []
@@ -162,6 +166,8 @@ def read_text_embeddings(path) -> list:
     dims = {m.shape[1] for _, m in records}
     if len(dims) != 1:
         raise ValueError(f"{path}: lines have mixed dimensions: {sorted(dims)}")
+    if normalize:
+        records = [(i, _normalize_rows(m, f"{path}: document {i}")) for i, m in records]
     return records
 
 

@@ -45,6 +45,7 @@ from .partition import (
     assign_many,
     kmeans_train,
     simhash_new,
+    sq_dists,
 )
 from .util import FINAL_PROJ, INNER_PROJ, KMEANS_SAMPLE, as_matrix, derive_rng
 
@@ -152,31 +153,24 @@ def config_fingerprint(config: FdeConfig) -> str:
     return h.hexdigest()[:16]
 
 
-def train_kmeans_partitions(tokens, b: int, r_reps: int, seed: int,
-                            max_tokens: int | None = 100_000) -> tuple[KMeansPartitioner, ...]:
-    """Train one nearest-center partitioner per repetition.
+def with_kmeans_partitions(config: FdeConfig, tokens, b: int,
+                           max_tokens: int | None = 100_000) -> FdeConfig:
+    """Return a copy of config using k-means partitions trained on tokens.
 
     tokens is the pool of token embeddings (typically all corpus tokens
-    stacked). Each repetition trains on its own seeded sample of up to
-    max_tokens rows; pass max_tokens=None to train every repetition on the
-    full pool.
+    stacked). Each repetition trains B centers on its own seeded sample of
+    up to max_tokens rows; pass max_tokens=None to train every repetition
+    on the full pool.
     """
     pool = as_matrix(tokens)
     parts = []
-    for rep in range(r_reps):
+    for rep in range(config.r_reps):
         sample = pool
         if max_tokens is not None and pool.shape[0] > max_tokens:
-            sel = derive_rng(seed, KMEANS_SAMPLE, rep).choice(pool.shape[0], size=max_tokens, replace=False)
+            sel = derive_rng(config.seed, KMEANS_SAMPLE, rep).choice(pool.shape[0], size=max_tokens, replace=False)
             sample = pool[np.sort(sel)]
-        parts.append(kmeans_train(sample, b, seed, rep=rep))
-    return tuple(parts)
-
-
-def with_kmeans_partitions(config: FdeConfig, tokens, b: int,
-                           max_tokens: int | None = 100_000) -> FdeConfig:
-    """Return a copy of config using k-means partitions trained on tokens."""
-    parts = train_kmeans_partitions(tokens, b, config.r_reps, config.seed, max_tokens=max_tokens)
-    return dataclasses.replace(config, partitioner="kmeans", kmeans_partitioners=parts)
+        parts.append(kmeans_train(sample, b, config.seed, rep=rep))
+    return dataclasses.replace(config, partitioner="kmeans", kmeans_partitioners=tuple(parts))
 
 
 def partitioner_for_rep(config: FdeConfig, rep: int):
@@ -276,10 +270,7 @@ def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig,
                     if isinstance(part, SimHashPartitioner):
                         dist = np.bitwise_count(idx[:, None] ^ empty[None, :])  # Hamming distances
                     else:
-                        ec = part.centers[empty]
-                        pts = stacked[lo:hi]
-                        dist = (np.sum(pts * pts, axis=1)[:, None]
-                                - 2.0 * (pts @ ec.T) + np.sum(ec * ec, axis=1)[None, :])
+                        dist = sq_dists(stacked[lo:hi], part.centers[empty])
                     nearest = np.argmin(dist, axis=0)  # ties -> lowest token index
                     acc[empty] = proj[nearest]
             out[j, base:base + b * t] = acc.ravel()

@@ -13,8 +13,9 @@ shortlist. It returns the ranking a float64 scan of every row returns,
 without widening the stored matrix. Anything implementing
 ``search(query_values, k) -> [(doc_id, dot), ...]`` can be swapped in.
 
-Non-finite input fails loudly: documents, document encodings, query
-tokens and query encodings with a NaN or inf entry raise ValueError.
+Non-finite input fails loudly: documents (the corpus attached for
+reranking included), document encodings, query tokens and query encodings
+with a NaN or inf entry raise ValueError.
 
 Ball carving optionally shrinks the query before reranking: query tokens
 are greedily grouped at a dot-product threshold tau and each group is
@@ -30,10 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .chamfer import chamfer
+from .chamfer import brute_force_topk
 from .encoding import Fde, FdeConfig, config_fingerprint, fde_dim, generate_query_fdes, generate_doc_fdes
 from .pq import PqCodebook, pq_asymmetric_dots_many, pq_encode_many, pq_train
-from .util import as_matrix
+from .util import as_matrix, require_finite, top_k
 
 DEFAULT_CARVE_TAU = 0.7  # recall is flat above this threshold; rerank cost is not
 
@@ -134,14 +135,7 @@ class PqScanBackend:
 
 
 def _top_by_dot(ids: np.ndarray, dots: np.ndarray, k: int):
-    order = np.lexsort((ids, -dots))[: min(k, len(ids))]
-    return [(int(ids[i]), float(dots[i])) for i in order]
-
-
-def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(x).all():
-        raise ValueError(f"{what} must be finite")
-    return x
+    return [(int(ids[i]), float(dots[i])) for i in top_k(ids, dots, k)]
 
 
 class FdeIndex:
@@ -167,7 +161,9 @@ class FdeIndex:
         self.dense = dense
         self.codebook = codebook
         self.codes = codes
-        self.corpus = list(corpus) if corpus is not None else None
+        self.corpus = None
+        if corpus is not None:
+            self.attach_corpus(corpus)
         self._pos = {int(d): i for i, d in enumerate(self.doc_ids)}
         if self.dense is not None:
             self.backend = ExactScanBackend(self.doc_ids, self.dense)
@@ -195,9 +191,16 @@ class FdeIndex:
         return self.codebook.code_bytes
 
     def attach_corpus(self, corpus: Sequence) -> None:
-        """Attach raw token embeddings (aligned with doc_ids) for reranking."""
+        """Attach raw token embeddings (aligned with doc_ids) for reranking.
+
+        Every document must be a finite (m, config.dim) matrix.
+        """
         if len(corpus) != self.num_docs:
             raise ValueError(f"corpus has {len(corpus)} documents, index has {self.num_docs}")
+        for doc_id, m in zip(self.doc_ids, corpus):
+            m = require_finite(as_matrix(m), f"document {doc_id} tokens")
+            if m.shape[1] != self.config.dim:
+                raise ValueError(f"document {doc_id} tokens have d={m.shape[1]}, config.dim={self.config.dim}")
         self.corpus = list(corpus)
 
     def doc_matrix(self, doc_id: int) -> np.ndarray:
@@ -217,24 +220,23 @@ def build_index(corpus: Sequence, config: FdeConfig, pq: PqSpec | None = None,
     """
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
-    mats = [as_matrix(p) for p in corpus]
-    for i, m in enumerate(mats):
-        _require_finite(m, f"document {i} tokens")
+    ids = list(range(len(corpus)) if doc_ids is None else doc_ids)
+    if len(ids) != len(corpus):
+        raise ValueError(f"got {len(ids)} doc ids for {len(corpus)} documents")
+    mats = [require_finite(as_matrix(p), f"document {ids[i]} tokens") for i, p in enumerate(corpus)]
     dims = {m.shape[1] for m in mats}
     if len(dims) != 1:
         raise ValueError(f"corpus has mixed dimensions: {sorted(dims)}")
-    if doc_ids is None:
-        doc_ids = range(len(mats))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected just below
         fdes = generate_doc_fdes(mats, config).astype(np.float32)
     bad = np.flatnonzero(~np.isfinite(fdes).all(axis=1))
     if bad.size:
-        raise ValueError(f"document {list(doc_ids)[bad[0]]} has a non-finite float32 encoding (overflow)")
+        raise ValueError(f"document {ids[bad[0]]} has a non-finite float32 encoding (overflow)")
     if pq is None:
-        return FdeIndex(doc_ids, config, dense=fdes, corpus=mats)
+        return FdeIndex(ids, config, dense=fdes, corpus=mats)
     codebook = pq_train(fdes, c=pq.c, g=pq.g, seed=config.seed)
     codes = pq_encode_many(codebook, fdes)
-    return FdeIndex(doc_ids, config, codebook=codebook, codes=codes, corpus=mats)
+    return FdeIndex(ids, config, codebook=codebook, codes=codes, corpus=mats)
 
 
 def mips_search(index: FdeIndex, query_fde, k_candidates: int):
@@ -249,7 +251,7 @@ def mips_search(index: FdeIndex, query_fde, k_candidates: int):
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (index.fde_dim,):
         raise ValueError(f"query encoding has shape {values.shape}, index stores dimension {index.fde_dim}")
-    return index.backend.search(_require_finite(values, "query encoding"), k_candidates)
+    return index.backend.search(require_finite(values, "query encoding"), k_candidates)
 
 
 def ball_carve(Q, tau: float) -> CarvedQuery:
@@ -290,19 +292,19 @@ def query(index: FdeIndex, Q, k_candidates: int, final_k: int,
     if final_k < 1 or final_k > k_candidates:
         raise ValueError(f"need 1 <= final_k <= k_candidates, got final_k={final_k}, k_candidates={k_candidates}")
     t0 = time.perf_counter()
-    _require_finite(as_matrix(Q), "query tokens")
+    require_finite(as_matrix(Q), "query tokens")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected just below
         qvals = generate_query_fdes([Q], index.config)[0]
-    _require_finite(qvals, "query encoding")
+    require_finite(qvals, "query encoding")
     t1 = time.perf_counter()
     candidates = index.backend.search(qvals, k_candidates)
     t2 = time.perf_counter()
     rerank_q = ball_carve(Q, carve_tau).vectors if carve_tau is not None else Q
-    scored = [(doc_id, chamfer(rerank_q, index.doc_matrix(doc_id))) for doc_id, _ in candidates]
-    scored.sort(key=lambda t: (-t[1], t[0]))
+    ids = [doc_id for doc_id, _ in candidates]
+    ranking = brute_force_topk(rerank_q, [index.doc_matrix(d) for d in ids], final_k, doc_ids=ids)
     t3 = time.perf_counter()
     return RetrievalResult(
-        ranking=scored[:final_k],
+        ranking=ranking,
         candidates_retrieved=len(candidates),
         timings={"fde_gen": t1 - t0, "mips": t2 - t1, "rerank": t3 - t2},
     )

@@ -28,6 +28,7 @@ import numpy as np
 
 from .chamfer import brute_force_topk
 from .encoding import FdeConfig, config_fingerprint, fde_dim, generate_doc_fdes, generate_query_fdes
+from .util import top_k
 
 
 @dataclass(frozen=True)
@@ -97,25 +98,16 @@ def chamfer_one_nn(queries: Sequence, corpus: Sequence,
 def fde_rankings(corpus: Sequence, queries: Sequence, config: FdeConfig,
                  depth: int | None = None,
                  query_ids: Sequence | None = None,
-                 doc_ids: Sequence[int] | None = None,
-                 doc_fdes: np.ndarray | None = None) -> dict:
+                 doc_ids: Sequence[int] | None = None) -> dict:
     """Offline run: rank all documents per query by encoding dot product.
 
     No reranking; this measures the encoding itself as a retrieval proxy.
-    Pass doc_fdes to reuse already-generated document encodings.
     """
     ids = np.asarray(list(doc_ids) if doc_ids is not None else range(len(corpus)), dtype=np.int64)
     qids = list(query_ids) if query_ids is not None else list(range(len(queries)))
-    if doc_fdes is None:
-        doc_fdes = generate_doc_fdes(corpus, config)
-    qf = generate_query_fdes(queries, config)
-    dots = qf @ doc_fdes.T  # (num_queries, num_docs)
-    depth = len(ids) if depth is None else min(depth, len(ids))
-    run = {}
-    for i, qid in enumerate(qids):
-        order = np.lexsort((ids, -dots[i]))[:depth]
-        run[qid] = [int(ids[j]) for j in order]
-    return run
+    dots = generate_query_fdes(queries, config) @ generate_doc_fdes(corpus, config).T  # (num_queries, num_docs)
+    order = top_k(ids, dots, len(ids) if depth is None else depth)
+    return dict(zip(qids, ids[order].tolist()))
 
 
 @dataclass(frozen=True)
@@ -143,7 +135,7 @@ def grid_search(corpus: Sequence, queries: Sequence, qrels: Mapping,
         raise ValueError("parameter grid is empty")
     if not n_values:
         raise ValueError("no N values requested")
-    dim = np.asarray(getattr(corpus[0], "data", corpus[0])).shape[1]
+    dim = np.asarray(corpus[0]).shape[1]
     rows = []
     for (r_reps, k_sim, d_proj) in grid:
         config = FdeConfig(dim=dim, k_sim=k_sim, d_proj=d_proj, r_reps=r_reps, seed=seed)

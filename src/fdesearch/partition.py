@@ -15,13 +15,15 @@ exactly zero hashes to bit 0; both are fixed here for reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .util import HYPERPLANES, KMEANS_INIT, as_matrix, derive_rng
 
 MAX_K_SIM = 24  # 2^24 buckets is already far beyond any sane configuration
+KMEANS_MAX_ITERS = 100  # Lloyd updates at most
+KMEANS_TOL = 1e-4  # stop once the MSE falls by a smaller relative amount
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,8 +31,6 @@ class SimHashPartitioner:
     """Hyperplane sign hash: R^d -> [2^k_sim]."""
 
     gaussians: np.ndarray  # (k_sim, d) i.i.d. standard normal rows
-    seed: int = 0
-    rep: int = 0
 
     @property
     def k_sim(self) -> int:
@@ -51,7 +51,6 @@ class KMeansPartitioner:
 
     centers: np.ndarray  # (B, d)
     requested_b: int = 0
-    mse_history: tuple = field(default=(), repr=False)
 
     @property
     def dim(self) -> int:
@@ -69,7 +68,7 @@ def simhash_new(k_sim: int, d: int, seed: int, rep: int = 0) -> SimHashPartition
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     g = derive_rng(seed, HYPERPLANES, rep).standard_normal((k_sim, d))
-    return SimHashPartitioner(gaussians=g, seed=int(seed), rep=int(rep))
+    return SimHashPartitioner(gaussians=g)
 
 
 def simhash_from_gaussians(gaussians) -> SimHashPartitioner:
@@ -90,10 +89,13 @@ def assign_many(partitioner, X) -> np.ndarray:
         weights = (1 << np.arange(partitioner.k_sim, dtype=np.int64))
         return bits.astype(np.int64) @ weights
     if isinstance(partitioner, KMeansPartitioner):
-        c = partitioner.centers
-        d2 = np.sum(Xa * Xa, axis=1)[:, None] - 2.0 * (Xa @ c.T) + np.sum(c * c, axis=1)[None, :]
-        return np.argmin(d2, axis=1).astype(np.int64)  # argmin ties -> lowest index
+        return np.argmin(sq_dists(Xa, partitioner.centers), axis=1).astype(np.int64)  # ties -> lowest index
     raise TypeError(f"unknown partitioner type {type(partitioner).__name__}")
+
+
+def sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(m, B) squared Euclidean distances from the rows of X to the rows of C."""
+    return np.sum(X * X, axis=1)[:, None] - 2.0 * (X @ C.T) + np.sum(C * C, axis=1)[None, :]
 
 
 def hamming(a: int, b: int, k_sim: int) -> int:
@@ -107,15 +109,14 @@ def hamming(a: int, b: int, k_sim: int) -> int:
     return (a ^ b).bit_count()
 
 
-def lloyd_kmeans(points, k: int, seed: int, max_iters: int = 100, tol: float = 1e-4,
-                 rep: int = 0) -> tuple[np.ndarray, list[float]]:
+def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, list[float]]:
     """Lloyd's algorithm with seeded distinct-point initialization.
 
-    Returns (centers, mse_history). k is reduced to the number of distinct
-    points when necessary. mse_history[t] is the mean squared distance to
+    Returns (centers, history). k is reduced to the number of distinct
+    points when necessary. history[t] is the mean squared distance to
     the nearest center before the t-th update; it never increases. The
-    loop stops after max_iters updates or when the relative decrease of
-    the MSE falls below tol.
+    loop stops after KMEANS_MAX_ITERS updates or when the relative
+    decrease of the MSE falls below KMEANS_TOL.
     """
     pts = as_matrix(points)
     if k < 1:
@@ -125,10 +126,9 @@ def lloyd_kmeans(points, k: int, seed: int, max_iters: int = 100, tol: float = 1
     rng = derive_rng(seed, KMEANS_INIT, rep)
     centers = distinct[rng.choice(distinct.shape[0], size=k_eff, replace=False)].copy()
 
-    sq_pts = np.sum(pts * pts, axis=1)
     history: list[float] = []
-    for _ in range(max_iters):
-        d2 = sq_pts[:, None] - 2.0 * (pts @ centers.T) + np.sum(centers * centers, axis=1)[None, :]
+    for _ in range(KMEANS_MAX_ITERS):
+        d2 = sq_dists(pts, centers)
         labels = np.argmin(d2, axis=1)
         mse = float(np.maximum(d2[np.arange(pts.shape[0]), labels], 0.0).mean())
         history.append(mse)
@@ -139,13 +139,12 @@ def lloyd_kmeans(points, k: int, seed: int, max_iters: int = 100, tol: float = 1
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]  # empty clusters keep their center
         if len(history) >= 2:
             prev, cur = history[-2], history[-1]
-            if prev <= 0.0 or (prev - cur) / prev < tol:
+            if prev <= 0.0 or (prev - cur) / prev < KMEANS_TOL:
                 break
     return centers, history
 
 
-def kmeans_train(points, b: int, seed: int, max_iters: int = 100, tol: float = 1e-4,
-                 rep: int = 0) -> KMeansPartitioner:
+def kmeans_train(points, b: int, seed: int, rep: int = 0) -> KMeansPartitioner:
     """Train a nearest-center partitioner with B centers on the given points."""
-    centers, history = lloyd_kmeans(points, b, seed, max_iters=max_iters, tol=tol, rep=rep)
-    return KMeansPartitioner(centers=centers, requested_b=int(b), mse_history=tuple(history))
+    centers, _ = lloyd_kmeans(points, b, seed, rep=rep)
+    return KMeansPartitioner(centers=centers, requested_b=int(b))

@@ -14,12 +14,11 @@ Training runs k-means per group on one shared seeded sample of at most
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import lloyd_kmeans
+from .partition import lloyd_kmeans, sq_dists
 from .util import PQ_SAMPLE, as_matrix, derive_rng
 
 TRAIN_SAMPLE_LIMIT = 100_000
@@ -36,7 +35,6 @@ class PqCodebook:
 
     centers: np.ndarray
     effective_c: np.ndarray  # (num_groups,) ints
-    trained_on: str = ""  # digest of the training call, informational
 
     @property
     def num_groups(self) -> int:
@@ -60,8 +58,7 @@ class PqCodebook:
         return self.num_groups
 
 
-def pq_train(vectors, c: int = 256, g: int = 8, seed: int = 0,
-             sample_limit: int = TRAIN_SAMPLE_LIMIT) -> PqCodebook:
+def pq_train(vectors, c: int = 256, g: int = 8, seed: int = 0) -> PqCodebook:
     """Train a codebook with c centers per group of g dimensions."""
     V = as_matrix(vectors)
     n, d = V.shape
@@ -70,8 +67,8 @@ def pq_train(vectors, c: int = 256, g: int = 8, seed: int = 0,
     if g < 1 or d % g != 0:
         raise ValueError(f"vector dimension {d} is not divisible by group width {g}")
     sample = V
-    if n > sample_limit:
-        sel = derive_rng(seed, PQ_SAMPLE, 0).choice(n, size=sample_limit, replace=False)
+    if n > TRAIN_SAMPLE_LIMIT:
+        sel = derive_rng(seed, PQ_SAMPLE, 0).choice(n, size=TRAIN_SAMPLE_LIMIT, replace=False)
         sample = V[np.sort(sel)]
 
     num_groups = d // g
@@ -82,10 +79,7 @@ def pq_train(vectors, c: int = 256, g: int = 8, seed: int = 0,
         grp_centers, _ = lloyd_kmeans(sl, c, seed, rep=grp)
         effective[grp] = grp_centers.shape[0]
         centers[grp, :grp_centers.shape[0]] = grp_centers
-
-    digest = hashlib.sha256()
-    digest.update(f"n={sample.shape[0]};d={d};c={c};g={g};seed={seed}".encode())
-    return PqCodebook(centers=centers, effective_c=effective, trained_on=digest.hexdigest()[:16])
+    return PqCodebook(centers=centers, effective_c=effective)
 
 
 def pq_encode_many(codebook: PqCodebook, V) -> np.ndarray:
@@ -97,10 +91,7 @@ def pq_encode_many(codebook: PqCodebook, V) -> np.ndarray:
     codes = np.empty((Va.shape[0], codebook.num_groups), dtype=np.uint8)
     for grp in range(codebook.num_groups):
         cc = codebook.centers[grp, :codebook.effective_c[grp]]
-        sl = Va[:, grp * g:(grp + 1) * g]
-        d2 = (np.sum(sl * sl, axis=1)[:, None] - 2.0 * (sl @ cc.T)
-              + np.sum(cc * cc, axis=1)[None, :])
-        codes[:, grp] = np.argmin(d2, axis=1)  # ties -> lowest center index
+        codes[:, grp] = np.argmin(sq_dists(Va[:, grp * g:(grp + 1) * g], cc), axis=1)  # ties -> lowest center
     return codes
 
 
@@ -116,13 +107,8 @@ def _check_codes(codebook: PqCodebook, codes: np.ndarray) -> np.ndarray:
 
 def pq_decode_many(codebook: PqCodebook, codes) -> np.ndarray:
     """Reconstruct (n, dim) vectors from codes."""
-    codes = _check_codes(codebook, codes)
-    flat = codes.reshape(-1, codebook.num_groups).astype(np.int64)
-    out = np.empty((flat.shape[0], codebook.dim), dtype=np.float64)
-    g = codebook.group_dim
-    for grp in range(codebook.num_groups):
-        out[:, grp * g:(grp + 1) * g] = codebook.centers[grp, flat[:, grp]]
-    return out
+    flat = _check_codes(codebook, codes).reshape(-1, codebook.num_groups)
+    return codebook.centers[np.arange(codebook.num_groups), flat].reshape(flat.shape[0], codebook.dim)
 
 
 def pq_table(codebook: PqCodebook, q) -> np.ndarray:

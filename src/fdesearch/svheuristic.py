@@ -9,17 +9,17 @@ document ids are dropped keeping the first occurrence.
 
 The token search is an exact scan on purpose: the baseline's cost model
 is "floats touched", which the exact scan makes explicit -- every query
-token reads all tokens times d floats.
+token reads all tokens times d floats (``TokenIndex.scan_cost``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .util import as_matrix
+from .util import as_matrix, require_finite, top_k
 
 
 @dataclass(eq=False)
@@ -28,7 +28,6 @@ class TokenIndex:
 
     tokens: np.ndarray  # (total_tokens, d)
     owners: np.ndarray  # (total_tokens,) doc id per token
-    floats_scanned: int = field(default=0, repr=False)  # cumulative scan cost
 
     @property
     def num_tokens(self) -> int:
@@ -44,18 +43,25 @@ class TokenIndex:
 
 
 def build_token_index(corpus: Sequence, doc_ids: Sequence[int] | None = None) -> TokenIndex:
-    """Stack every document's tokens and remember which document owns each."""
+    """Stack every document's tokens and remember which document owns each.
+
+    Non-finite tokens raise ValueError.
+    """
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
+    ids = [int(i) for i in (range(len(corpus)) if doc_ids is None else doc_ids)]
+    if len(ids) != len(corpus):
+        raise ValueError(f"got {len(ids)} doc ids for {len(corpus)} documents")
     mats = [as_matrix(p) for p in corpus]
     dims = {m.shape[1] for m in mats}
     if len(dims) != 1:
         raise ValueError(f"corpus has mixed dimensions: {sorted(dims)}")
-    if doc_ids is None:
-        doc_ids = range(len(mats))
-    ids = [int(i) for i in doc_ids]
-    owners = np.concatenate([np.full(m.shape[0], ids[j], dtype=np.int64) for j, m in enumerate(mats)])
-    return TokenIndex(tokens=np.vstack(mats), owners=owners)
+    tokens = np.vstack(mats)
+    owners = np.repeat(np.asarray(ids, dtype=np.int64), [m.shape[0] for m in mats])
+    bad = np.flatnonzero(~np.isfinite(tokens).all(axis=1))
+    if bad.size:
+        raise ValueError(f"document {owners[bad[0]]} tokens must be finite")
+    return TokenIndex(tokens=tokens, owners=owners)
 
 
 def sv_candidates(Q, index: TokenIndex, k_per_query: int, dedup: bool) -> list[int]:
@@ -65,26 +71,18 @@ def sv_candidates(Q, index: TokenIndex, k_per_query: int, dedup: bool) -> list[i
     product (exact scan; ties go to the lower token position). The hits
     are interleaved rank-major and mapped to owning doc ids. With dedup,
     later repeats of a doc id are removed, keeping the first occurrence.
-    k_per_query larger than the token count is clamped.
+    k_per_query larger than the token count is clamped. Non-finite query
+    tokens raise ValueError. The scan touches index.scan_cost(len(Q)) floats.
     """
     if k_per_query < 1:
         raise ValueError(f"k_per_query must be >= 1, got {k_per_query}")
-    Qa = as_matrix(Q)
+    Qa = require_finite(as_matrix(Q), "query tokens")
     if Qa.shape[1] != index.dim:
         raise ValueError(f"dimension mismatch: query tokens have d={Qa.shape[1]}, index has d={index.dim}")
-    k = min(k_per_query, index.num_tokens)
     dots = Qa @ index.tokens.astype(np.float64, copy=False).T  # (m, total_tokens)
-    index.floats_scanned += index.scan_cost(Qa.shape[0])
-    # stable sort of -dots: equal dots keep ascending token position
-    top = np.argsort(-dots, axis=1, kind="stable")[:, :k]  # (m, k)
+    top = top_k(np.arange(index.num_tokens), dots, k_per_query)  # (m, k); ties by token position
     interleaved = index.owners[top.T.ravel()]  # rank-major: rank 1 for all tokens, then rank 2, ...
-    if not dedup:
-        return [int(d) for d in interleaved]
-    seen: set[int] = set()
-    out: list[int] = []
-    for d in interleaved:
-        d = int(d)
-        if d not in seen:
-            seen.add(d)
-            out.append(d)
-    return out
+    if dedup:
+        _, first = np.unique(interleaved, return_index=True)
+        interleaved = interleaved[np.sort(first)]
+    return interleaved.tolist()

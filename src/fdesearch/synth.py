@@ -24,6 +24,7 @@ All draws are deterministic in the SynthSpec seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -62,14 +63,12 @@ class SynthSpec:
             raise ValueError("all counts in a SynthSpec must be >= 1")
         if hi < lo:
             raise ValueError(f"tokens_per_doc range is inverted: ({lo}, {hi})")
-        if self.noise < 0:
-            raise ValueError(f"noise must be >= 0, got {self.noise}")
         if self.query_tokens is not None and self.query_tokens < 1:
             raise ValueError(f"query_tokens must be >= 1, got {self.query_tokens}")
-        if self.query_noise is not None and self.query_noise < 0:
-            raise ValueError(f"query_noise must be >= 0, got {self.query_noise}")
-        if self.doc_bias < 0:
-            raise ValueError(f"doc_bias must be >= 0, got {self.doc_bias}")
+        for name in ("noise", "query_noise", "doc_bias"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.relevance_rule != "planted":
             raise ValueError(f"unsupported relevance rule {self.relevance_rule!r}")
 
@@ -78,9 +77,6 @@ class SynthSpec:
         if isinstance(self.tokens_per_doc, tuple):
             return int(self.tokens_per_doc[0]), int(self.tokens_per_doc[1])
         return int(self.tokens_per_doc), int(self.tokens_per_doc)
-
-
-DEFAULT_SPEC = SynthSpec()
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:

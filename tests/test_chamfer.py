@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdesearch.chamfer import MultiVector, brute_force_topk, chamfer, nchamfer
+from fdesearch.chamfer import brute_force_topk, chamfer, nchamfer
 
 
 def unit_rows(rng, m, d):
@@ -124,14 +124,3 @@ def test_topk_validates_inputs():
         brute_force_topk([[1.0]], [], 1)
     with pytest.raises(ValueError):
         brute_force_topk([[1.0]], [np.array([[1.0]])], 0)
-
-
-def test_multivector_validation():
-    mv = MultiVector([[0.6, 0.8]], normalized=True)
-    assert mv.rows == 1 and mv.dim == 2
-    with pytest.raises(ValueError):
-        MultiVector([[0.5, 0.5]], normalized=True)
-    with pytest.raises(ValueError):
-        MultiVector(np.empty((0, 3)))
-    with pytest.raises(ValueError):
-        MultiVector([[np.inf, 0.0]])

@@ -102,6 +102,25 @@ def test_text_import(tmp_path):
         read_text_embeddings(bad)
 
 
+def test_text_and_mvec_normalize_alike(tmp_path, capsys):
+    rows = np.array([[3.0, 4.0], [1.0, 2.0], [0.1, -0.7]], dtype=np.float32)
+    text = tmp_path / "emb.txt"
+    text.write_text("".join(f"5 {a!r} {b!r}\n" for a, b in rows.tolist()), encoding="utf-8")
+    mvec = tmp_path / "emb.mvec"
+    write_mvec(mvec, [(5, rows)])
+    from_text = read_text_embeddings(text, normalize=True)[0][1]
+    assert from_text.dtype == np.float32
+    assert np.array_equal(from_text, read_mvec(mvec, normalize=True)[0][1])
+    # a zero row fails with the normalizer's message, not a divide-by-zero warning
+    text.write_text("0 1.0 0.0\n0 0.0 0.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="document 0 has a zero row"):
+        read_text_embeddings(text, normalize=True)
+    rc = cli_main(["build", "--corpus", str(text), "--out", str(tmp_path / "i.mvix"),
+                   "--input-format", "text", "--normalize", "--k-sim", "2", "--reps", "2"])
+    assert rc == 1
+    assert "zero row; cannot normalize" in capsys.readouterr().err
+
+
 def test_qrels_round_trip(tmp_path):
     qrels = {0: {3: 1, 5: 2}, 2: {1: 1}}
     path = tmp_path / "q.tsv"
@@ -243,6 +262,24 @@ def test_duplicate_corpus_ids_are_rejected(tmp_path, corpus_records):
     twice = corpus_records + [(corpus_records[3][0], corpus_records[7][1])]
     with pytest.raises(ValueError, match="repeat"):
         read_index(path, corpus_records=twice)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_corpus_records_are_rejected(tmp_path, corpus_records, bad):
+    cfg = FdeConfig(dim=16, k_sim=3, d_proj=4, r_reps=3, seed=2)
+    index = build_index([m for _, m in corpus_records], cfg, doc_ids=[i for i, _ in corpus_records])
+    path = tmp_path / "x.mvix"
+    write_index(path, index)
+    tainted = list(corpus_records)
+    doc_id, mat = tainted[4]
+    mat = mat.copy()
+    mat[0, 0] = bad
+    tainted[4] = (doc_id, mat)
+    with pytest.raises(ValueError, match=f"document {doc_id} tokens must be finite"):
+        read_index(path, corpus_records=tainted)
+    narrow = [(i, m[:, :8]) for i, m in corpus_records]
+    with pytest.raises(ValueError, match="config.dim"):
+        read_index(path, corpus_records=narrow)
 
 
 def _split_index(data: bytes):

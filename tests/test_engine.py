@@ -299,3 +299,34 @@ def test_huge_query_raises_only_value_error(small_dataset):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             query(index, np.full((4, 32), 1e308), k_candidates=5, final_k=5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_attached_corpus_must_be_finite(small_dataset, bad):
+    corpus, queries, _ = small_dataset
+    index = build_index(corpus, CFG)
+    doc = corpus[4].copy()
+    doc[0, 0] = bad
+    tainted = corpus[:4] + [doc] + corpus[5:]
+    with pytest.raises(ValueError, match="document 4"):
+        index.attach_corpus(tainted)
+    with pytest.raises(ValueError, match="document 4"):
+        FdeIndex(index.doc_ids, CFG, dense=index.dense, corpus=tainted)
+    assert query(index, queries[0], k_candidates=5, final_k=5).ranking  # the old corpus stays attached
+
+
+def test_attached_corpus_must_match_the_config_dim(small_dataset):
+    corpus, _, _ = small_dataset
+    index = build_index(corpus, CFG)
+    with pytest.raises(ValueError, match="config.dim"):
+        index.attach_corpus(corpus[:3] + [corpus[3][:, :16]] + corpus[4:])
+
+
+def test_build_errors_name_the_doc_id(small_dataset):
+    corpus, _, _ = small_dataset
+    doc = corpus[2].copy()
+    doc[0, 0] = np.nan
+    with pytest.raises(ValueError, match="document 72 tokens"):
+        build_index(corpus[:2] + [doc], CFG, doc_ids=[70, 71, 72])
+    with pytest.raises(ValueError, match="2 doc ids for 3 documents"):
+        build_index(corpus[:3], CFG, doc_ids=[70, 71])

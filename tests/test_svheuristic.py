@@ -31,6 +31,21 @@ def interleave_oracle(Q, tokens, owners, k, dedup):
     return unique
 
 
+def stable_argsort_oracle(Q, index, k, dedup):
+    """The candidate list as a full stable argsort of -dots produces it."""
+    dots = np.asarray(Q, dtype=np.float64) @ index.tokens.T
+    top = np.argsort(-dots, axis=1, kind="stable")[:, :min(k, index.num_tokens)]
+    out = [int(d) for d in index.owners[top.T.ravel()]]
+    if not dedup:
+        return out
+    seen, unique = set(), []
+    for d in out:
+        if d not in seen:
+            seen.add(d)
+            unique.append(d)
+    return unique
+
+
 def test_ownership_layout():
     rng = np.random.default_rng(1)
     corpus = [unit_rows(rng, 3, 4), unit_rows(rng, 5, 4)]
@@ -99,10 +114,6 @@ def test_scan_cost_accounting():
     corpus = [unit_rows(rng, 4, 8) for _ in range(5)]
     index = build_token_index(corpus)
     assert index.scan_cost(3) == 3 * 20 * 8
-    Q = unit_rows(rng, 3, 8)
-    sv_candidates(Q, index, 2, dedup=False)
-    sv_candidates(Q, index, 2, dedup=True)
-    assert index.floats_scanned == 2 * 3 * 20 * 8
 
 
 def test_input_validation():
@@ -114,3 +125,31 @@ def test_input_validation():
         sv_candidates(unit_rows(rng, 2, 5), index, 1, dedup=False)
     with pytest.raises(ValueError):
         sv_candidates(unit_rows(rng, 2, 4), index, 0, dedup=False)
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_tied_dots_match_the_stable_argsort_oracle(dedup):
+    # integer-grid tokens and queries give exact ties, including -0.0 against 0.0
+    rng = np.random.default_rng(9)
+    corpus = [rng.integers(-1, 2, size=(int(rng.integers(1, 5)), 3)).astype(np.float64) for _ in range(25)]
+    index = build_token_index(corpus, doc_ids=rng.permutation(100)[:25])
+    Q = np.array([[1.0, 0.0, 0.0], [-0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, -1.0, 1.0]])
+    for k in (1, 3, 7, index.num_tokens, index.num_tokens + 5):
+        assert sv_candidates(Q, index, k, dedup=dedup) == stable_argsort_oracle(Q, index, k, dedup)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tokens_are_rejected(bad):
+    rng = np.random.default_rng(10)
+    corpus = [unit_rows(rng, 3, 4) for _ in range(4)]
+    doc = corpus[2].copy()
+    doc[1, 3] = bad
+    with pytest.raises(ValueError, match="document 2"):
+        build_token_index(corpus[:2] + [doc] + corpus[3:])
+    with pytest.raises(ValueError, match="document 12"):
+        build_token_index(corpus[:2] + [doc] + corpus[3:], doc_ids=[10, 11, 12, 13])
+    index = build_token_index(corpus)
+    Q = unit_rows(rng, 2, 4)
+    Q[0, 0] = bad
+    with pytest.raises(ValueError, match="query"):
+        sv_candidates(Q, index, 2, dedup=True)

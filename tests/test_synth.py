@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fdesearch.chamfer import brute_force_topk
+from fdesearch.cli import cli_main
 from fdesearch.synth import SynthSpec, generate_synthetic, matched_pair, synth_gen
 from fdesearch.dataio import read_mvec, read_qrels
 
@@ -63,6 +64,20 @@ def test_spec_validation():
         SynthSpec(relevance_rule="random")
     with pytest.raises(ValueError):
         SynthSpec(doc_bias=-1.0)
+
+
+@pytest.mark.parametrize("field", ["noise", "query_noise", "doc_bias"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+def test_noise_scales_must_be_finite_and_non_negative(field, value):
+    with pytest.raises(ValueError, match=field):
+        SynthSpec(**{field: value})
+
+
+def test_synth_cli_rejects_nan_noise(tmp_path, capsys):
+    rc = cli_main(["synth", "--out", str(tmp_path), "--docs", "5", "--queries", "2", "--noise", "nan"])
+    assert rc == 1
+    assert "noise must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "corpus.mvec").exists()
 
 
 def test_written_dataset_is_consistent(tmp_path):
