@@ -8,10 +8,12 @@ refactor leaves every output bit-identical:
     diff old.txt new.txt
 
 The workloads are the seeded corpora of perfbench/workloads.py at full size.
-Covered outputs: doc encodings, fde_rankings, query() rankings (ids and
-scores, every query), PQ codes, centers and decode, a k-means config
-(centers and doc encodings), and sv_candidates with dedup on and off
-followed by the exact rerank.
+Covered outputs: the stored doc encodings (dense float32 or PQ codes), the
+float64 doc encodings with empty-cluster fill as configured, off, and with
+a final projection (d_final), the query encodings, fde_rankings, query()
+rankings (ids and scores, every query), PQ centers and decode, a k-means
+config (centers, doc encodings, rankings), and sv_candidates with dedup on
+and off followed by the exact rerank.
 """
 
 from __future__ import annotations
@@ -64,32 +66,37 @@ def main() -> int:
     wl = WORKLOADS[args.workload]
     docs, queries = make_inputs(wl, args.seed)
     corpus = [m for _, m in docs]
-    out = {}
+
+    def emit(name, value):  # print as we go, so large outputs are not held together
+        print(f"{wl.name} seed={args.seed} {name} {digest(value)}", flush=True)
+
     if wl.config is None:
         tindex = fs.build_token_index(corpus)
         for dedup in (False, True):
             hits = [fs.sv_candidates(Q, tindex, wl.k_per_query, dedup=dedup) for Q in queries]
-            out[f"sv_candidates.dedup={dedup}"] = hits
-        reranked = [fs.brute_force_topk(Q, [corpus[d] for d in h[:wl.k_candidates]], wl.final_k,
-                                        doc_ids=h[:wl.k_candidates]) for Q, h in zip(queries, hits)]
-        out["sv.rerank"] = reranked
-    else:
-        cfg = wl.config
-        index = fs.build_index(corpus, cfg, pq=wl.pq)
-        out["build_index.storage"] = index.dense if index.dense is not None else index.codes
-        if index.codebook is not None:
-            out["pq.centers"] = index.codebook.centers
-            out["pq.effective_c"] = index.codebook.effective_c
-            out["pq.decode"] = pq_decode_many(index.codebook, index.codes)
-        out["query"] = [fs.query(index, Q, wl.k_candidates, wl.final_k, wl.carve_tau).ranking for Q in queries]
-        out["fde_rankings"] = list(fs.fde_rankings(corpus, queries, cfg, depth=wl.k_candidates).values())
-        km = fs.with_kmeans_partitions(dataclasses.replace(cfg, r_reps=4), np.vstack(corpus), 16)
-        out["kmeans.centers"] = [p.centers for p in km.kmeans_partitioners]
-        km_index = fs.build_index(corpus, km)
-        out["kmeans.doc_fdes"] = km_index.dense
-        out["kmeans.query"] = [fs.query(km_index, Q, wl.k_candidates, wl.final_k).ranking for Q in queries]
-    for name, value in out.items():
-        print(f"{wl.name} seed={args.seed} {name} {digest(value)}")
+            emit(f"sv_candidates.dedup={dedup}", hits)
+        emit("sv.rerank", [fs.brute_force_topk(Q, [corpus[d] for d in h[:wl.k_candidates]], wl.final_k,
+                                               doc_ids=h[:wl.k_candidates]) for Q, h in zip(queries, hits)])
+        return 0
+    cfg = wl.config
+    index = fs.build_index(corpus, cfg, pq=wl.pq)
+    emit("build_index.storage", index.dense if index.dense is not None else index.codes)
+    if index.codebook is not None:
+        emit("pq.centers", index.codebook.centers)
+        emit("pq.effective_c", index.codebook.effective_c)
+        emit("pq.decode", pq_decode_many(index.codebook, index.codes))
+    emit("query", [fs.query(index, Q, wl.k_candidates, wl.final_k, wl.carve_tau).ranking for Q in queries])
+    del index
+    emit("query_fdes", fs.generate_query_fdes(queries, cfg))
+    emit("doc_fdes", fs.generate_doc_fdes(corpus, cfg))
+    emit("doc_fdes.fill_empty=False", fs.generate_doc_fdes(corpus, dataclasses.replace(cfg, fill_empty=False)))
+    emit("doc_fdes.d_final=256", fs.generate_doc_fdes(corpus, dataclasses.replace(cfg, d_final=256)))
+    emit("fde_rankings", list(fs.fde_rankings(corpus, queries, cfg, depth=wl.k_candidates).values()))
+    km = fs.with_kmeans_partitions(dataclasses.replace(cfg, r_reps=4), np.vstack(corpus), 16)
+    emit("kmeans.centers", [p.centers for p in km.kmeans_partitioners])
+    km_index = fs.build_index(corpus, km)
+    emit("kmeans.doc_fdes", km_index.dense)
+    emit("kmeans.query", [fs.query(km_index, Q, wl.k_candidates, wl.final_k).ranking for Q in queries])
     return 0
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,11 +42,9 @@ import numpy as np
 
 from .partition import (
     KMeansPartitioner,
-    SimHashPartitioner,
-    assign_many,
+    assign_with_dists,
     kmeans_train,
     simhash_new,
-    sq_dists,
 )
 from .util import FINAL_PROJ, INNER_PROJ, KMEANS_SAMPLE, as_matrix, derive_rng
 
@@ -223,9 +222,71 @@ def final_project_many(V, d_final: int, seed: int) -> np.ndarray:
     return out
 
 
+BLOCK_TOKENS = 1 << 14  # tokens per block of documents; keeps the per-cell temporaries cache-sized
+
+
+def _fill_tokens(empty: np.ndarray, b: int, starts: np.ndarray, lengths: np.ndarray,
+                 idx: np.ndarray, d2: np.ndarray | None) -> np.ndarray:
+    """Token filling each empty (document, cluster) cell ``empty`` (doc * b + cluster).
+
+    Each cell is paired with its own document's tokens only, so the work is
+    the number of such pairs: no padding to the longest document and no
+    (tokens, clusters) table. The nearest token has the fewest disagreeing
+    hash bits with the cluster (sign hashing, d2 None) or the smallest
+    squared distance d2 to its center (nearest-center); ties go to the
+    lowest token, as in np.argmin.
+    """
+    doc, cluster = np.divmod(empty, b)
+    seg = lengths[doc]
+    seg_start = np.cumsum(seg) - seg
+    token = np.arange(seg_start[-1] + seg[-1]) + np.repeat(starts[doc] - seg_start, seg)
+    if d2 is None:
+        dist = np.bitwise_count(idx[token] ^ np.repeat(cluster, seg))
+    else:
+        dist = d2[token, np.repeat(cluster, seg)]
+        dist[np.isnan(dist)] = -np.inf  # np.argmin takes the first NaN
+    best = np.repeat(np.minimum.reduceat(dist, seg_start), seg)
+    return np.minimum.reduceat(np.where(dist == best, token, idx.size), seg_start)  # idx.size: no token
+
+
+def _rep_block(idx: np.ndarray, proj: np.ndarray, d2: np.ndarray | None, lengths: np.ndarray,
+               owner_base: np.ndarray, side: str, config: FdeConfig, b: int) -> np.ndarray:
+    """One repetition's (n, B * d_proj) part of the encodings of n consecutive documents.
+
+    idx, proj and d2 are the assignments, projected tokens and (k-means)
+    center distances of the documents' stacked tokens, and owner_base is
+    B times each token's document. Sums are taken from 0 in token order,
+    the order a per-document sum takes, so each cluster block is bit for
+    bit what encoding the document alone gives. Document blocks are
+    centroids, and empty cells are filled as configured.
+    """
+    n, t = len(lengths), proj.shape[1]
+    cell = owner_base + idx
+    acc = np.bincount((cell[:, None] * t + np.arange(t)).ravel(), weights=proj.ravel(),
+                      minlength=n * b * t).reshape(n * b, t)
+    if side == "doc":
+        counts = np.bincount(cell, minlength=n * b)
+        acc /= np.maximum(counts, 1)[:, None]  # an empty cell stays 0
+        empty = np.flatnonzero(counts == 0)
+        if config.fill_empty and empty.size:
+            starts = np.cumsum(lengths) - lengths
+            acc[empty] = proj[_fill_tokens(empty, b, starts, lengths, idx, d2)]
+    acc *= 1.0 / math.sqrt(config.r_reps)
+    return acc.reshape(n, b * t)
+
+
 def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig,
-                  partitioners: Sequence | None = None) -> np.ndarray:
-    """Shared query/document encoder over a batch of token matrices."""
+                  partitioners: Sequence | None = None, dtype=np.float64) -> np.ndarray:
+    """Shared query/document encoder over a batch of token matrices.
+
+    Each repetition assigns and projects the stacked tokens of the whole
+    batch at once, then builds the encodings of consecutive documents
+    holding about BLOCK_TOKENS tokens at a time (_rep_block), so per-cell
+    temporaries stay small whatever the batch size. The result has the
+    given dtype: without d_final it is written straight in it; with d_final
+    the concatenation is assembled and projected in float64, and the
+    projection is cast.
+    """
     mats = [as_matrix(m) for m in matrices]
     if not mats:
         raise ValueError("no inputs to encode")
@@ -237,46 +298,30 @@ def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig,
 
     b = partitioners[0].num_clusters if partitioners is not None else config.num_clusters
     t = config.proj_dim
-    r = config.r_reps
-    raw_dim = b * t * r
-    scale = 1.0 / np.sqrt(r)
-    fill = config.fill_empty and side == "doc"
-
+    n, r = len(mats), config.r_reps
     stacked = np.vstack(mats)
-    bounds = np.cumsum([0] + [m.shape[0] for m in mats])
-    out = np.zeros((len(mats), raw_dim), dtype=np.float64)
+    lengths = np.array([m.shape[0] for m in mats])
+    ends = np.cumsum(lengths)
+    # a block holds the documents whose first token falls in one BLOCK_TOKENS span
+    bounds = [0, *(np.flatnonzero(np.diff((ends - lengths) // BLOCK_TOKENS)) + 1), n]
+    blocks = [(slice(lo, hi), slice(ends[lo] - lengths[lo], ends[hi - 1]),  # documents, their tokens,
+               np.repeat(np.arange(hi - lo) * b, lengths[lo:hi]))  # B * each token's document in the block
+              for lo, hi in zip(bounds, bounds[1:])]
+    out = np.empty((n, r, b * t), dtype=np.float64 if config.d_final is not None else dtype)
 
     for rep in range(r):
         part = partitioners[rep] if partitioners is not None else partitioner_for_rep(config, rep)
         if part.num_clusters != b:
             raise ValueError("partitioners disagree on cluster count")
-        idx_all = assign_many(part, stacked)
+        idx, d2 = assign_with_dists(part, stacked)
         S = projection_matrix(config, rep)
-        proj_all = stacked if S is None else (stacked @ S.T) / np.sqrt(t)
-
-        base = rep * b * t
-        for j in range(len(mats)):
-            lo, hi = bounds[j], bounds[j + 1]
-            idx = idx_all[lo:hi]
-            proj = proj_all[lo:hi]
-            acc = np.zeros((b, t), dtype=np.float64)
-            np.add.at(acc, idx, proj)
-            if side == "doc":
-                counts = np.bincount(idx, minlength=b)
-                nonempty = counts > 0
-                acc[nonempty] /= counts[nonempty, None]
-                if fill and not nonempty.all():
-                    empty = np.flatnonzero(~nonempty)
-                    if isinstance(part, SimHashPartitioner):
-                        dist = np.bitwise_count(idx[:, None] ^ empty[None, :])  # Hamming distances
-                    else:
-                        dist = sq_dists(stacked[lo:hi], part.centers[empty])
-                    nearest = np.argmin(dist, axis=0)  # ties -> lowest token index
-                    acc[empty] = proj[nearest]
-            out[j, base:base + b * t] = acc.ravel()
-    out *= scale
+        proj = stacked if S is None else (stacked @ S.T) / np.sqrt(t)
+        for docs, toks, owner_base in blocks:
+            out[docs, rep] = _rep_block(idx[toks], proj[toks], None if d2 is None else d2[toks],
+                                        lengths[docs], owner_base, side, config, b)
+    out = out.reshape(n, r * b * t)
     if config.d_final is not None:
-        out = final_project_many(out, config.d_final, config.seed)
+        out = final_project_many(out, config.d_final, config.seed).astype(dtype, copy=False)
     return out
 
 

@@ -32,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .chamfer import brute_force_topk
-from .encoding import Fde, FdeConfig, config_fingerprint, fde_dim, generate_query_fdes, generate_doc_fdes
-from .pq import PqCodebook, pq_asymmetric_dots_many, pq_encode_many, pq_train
+from .encoding import Fde, FdeConfig, _encode_batch, config_fingerprint, fde_dim, generate_query_fdes
+from .pq import PqCodebook, check_code_matrix, pq_encode_many, pq_table, pq_table_dots, pq_train
 from .util import as_matrix, require_finite, top_k
 
 DEFAULT_CARVE_TAU = 0.7  # recall is flat above this threshold; rerank cost is not
@@ -122,15 +122,19 @@ class ExactScanBackend:
 
 
 class PqScanBackend:
-    """MIPS over product-quantized encodings via asymmetric dots."""
+    """MIPS over product-quantized encodings via asymmetric dots.
+
+    The codes are checked once here (ValueError for a wrong shape or an
+    out-of-range code), not on every query.
+    """
 
     def __init__(self, doc_ids: np.ndarray, codebook: PqCodebook, codes: np.ndarray):
         self.doc_ids = doc_ids
         self.codebook = codebook
-        self.codes = codes
+        self.codes = check_code_matrix(codebook, codes)
 
     def search(self, query_values: np.ndarray, k: int):
-        dots = pq_asymmetric_dots_many(self.codebook, self.codes, np.asarray(query_values, dtype=np.float64))
+        dots = pq_table_dots(pq_table(self.codebook, query_values), self.codes)
         return _top_by_dot(self.doc_ids, dots, k)
 
 
@@ -228,8 +232,9 @@ def build_index(corpus: Sequence, config: FdeConfig, pq: PqSpec | None = None,
     if len(dims) != 1:
         raise ValueError(f"corpus has mixed dimensions: {sorted(dims)}")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected just below
-        fdes = generate_doc_fdes(mats, config).astype(np.float32)
-    bad = np.flatnonzero(~np.isfinite(fdes).all(axis=1))
+        fdes = _encode_batch(mats, "doc", config, dtype=np.float32)
+        # float32 entries cannot overflow a float64 row sum: it is finite exactly when the row is
+        bad = np.flatnonzero(~np.isfinite(fdes.sum(axis=1, dtype=np.float64)))
     if bad.size:
         raise ValueError(f"document {ids[bad[0]]} has a non-finite float32 encoding (overflow)")
     if pq is None:

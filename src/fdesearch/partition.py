@@ -24,6 +24,7 @@ from .util import HYPERPLANES, KMEANS_INIT, as_matrix, derive_rng
 MAX_K_SIM = 24  # 2^24 buckets is already far beyond any sane configuration
 KMEANS_MAX_ITERS = 100  # Lloyd updates at most
 KMEANS_TOL = 1e-4  # stop once the MSE falls by a smaller relative amount
+_BIT_VALUES = 2.0 ** np.arange(MAX_K_SIM)  # bit i-1 of a hash; any sum of them is exact in float64
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,15 +82,24 @@ def simhash_from_gaussians(gaussians) -> SimHashPartitioner:
 
 def assign_many(partitioner, X) -> np.ndarray:
     """Cluster indices for the rows of an (m, d) matrix."""
+    return assign_with_dists(partitioner, X)[0]
+
+
+def assign_with_dists(partitioner, X) -> tuple[np.ndarray, np.ndarray | None]:
+    """assign_many's indices plus what they were chosen from.
+
+    For a nearest-center partitioner that is the (m, B) matrix of squared
+    distances to every center; sign hashing returns None instead.
+    """
     Xa = as_matrix(X)
     if Xa.shape[1] != partitioner.dim:
         raise ValueError(f"dimension mismatch: points have d={Xa.shape[1]}, partitioner expects {partitioner.dim}")
     if isinstance(partitioner, SimHashPartitioner):
         bits = (Xa @ partitioner.gaussians.T) > 0.0  # strict: a zero dot is bit 0
-        weights = (1 << np.arange(partitioner.k_sim, dtype=np.int64))
-        return bits.astype(np.int64) @ weights
+        return (bits @ _BIT_VALUES[:partitioner.k_sim]).astype(np.int64), None
     if isinstance(partitioner, KMeansPartitioner):
-        return np.argmin(sq_dists(Xa, partitioner.centers), axis=1).astype(np.int64)  # ties -> lowest index
+        d2 = sq_dists(Xa, partitioner.centers)
+        return np.argmin(d2, axis=1).astype(np.int64), d2  # ties -> lowest index
     raise TypeError(f"unknown partitioner type {type(partitioner).__name__}")
 
 

@@ -122,10 +122,25 @@ def pq_table(codebook: PqCodebook, q) -> np.ndarray:
     return np.einsum("gcd,gd->gc", codebook.centers, slices)
 
 
-def pq_asymmetric_dots_many(codebook: PqCodebook, codes_matrix, q) -> np.ndarray:
-    """Asymmetric dots of one query against many coded vectors."""
-    codes = _check_codes(codebook, np.asarray(codes_matrix))
+def check_code_matrix(codebook: PqCodebook, codes) -> np.ndarray:
+    """codes as an (n, groups) array; ValueError for another shape or an out-of-range code."""
+    codes = _check_codes(codebook, codes)
     if codes.ndim != 2:
         raise ValueError(f"expected an (n, groups) code matrix, got shape {codes.shape}")
-    table = pq_table(codebook, q)
-    return table[np.arange(codebook.num_groups)[None, :], codes.astype(np.int64)].sum(axis=1)
+    return codes
+
+
+def pq_asymmetric_dots_many(codebook: PqCodebook, codes_matrix, q) -> np.ndarray:
+    """Asymmetric dots of one query against many coded vectors."""
+    return pq_table_dots(pq_table(codebook, q), check_code_matrix(codebook, codes_matrix))
+
+
+def pq_table_dots(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Per code row, the sum of the table entries its codes pick.
+
+    codes must already have passed check_code_matrix. The lookup is one take
+    on the flat table at int32 offsets, so no widened copy of the codes is
+    made.
+    """
+    offsets = np.arange(table.shape[0], dtype=np.int32) * np.int32(table.shape[1])
+    return table.ravel().take(np.add(codes, offsets, dtype=np.int32)).sum(axis=1)

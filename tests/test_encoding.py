@@ -1,8 +1,12 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fdesearch import encoding
 from fdesearch.chamfer import nchamfer
 from fdesearch.encoding import (
     FdeConfig,
@@ -19,8 +23,10 @@ from fdesearch.encoding import (
     projection_matrix,
     with_kmeans_partitions,
 )
-from fdesearch.partition import assign_many, hamming, simhash_from_gaussians
+from fdesearch.engine import build_index
+from fdesearch.partition import SimHashPartitioner, assign_many, hamming, simhash_from_gaussians, sq_dists
 from fdesearch.synth import matched_pair
+from fdesearch.util import as_matrix
 
 
 def unit_rows(rng, m, d):
@@ -304,6 +310,43 @@ def test_doc_fill_memory_does_not_grow_with_the_cluster_count_squared():
     assert peak < 16 * 2 ** 20
 
 
+def test_build_index_allocates_no_float64_copy_of_the_encodings():
+    import tracemalloc
+
+    rng = np.random.default_rng(33)
+    docs = [rng.standard_normal((16, 16)) for _ in range(300)]
+    cfg = FdeConfig(dim=16, k_sim=4, r_reps=20)  # 5120 dims
+    payload = len(docs) * fde_dim(cfg) * 4
+    input_bytes = sum(d.nbytes for d in docs)
+    build_index(docs[:2], cfg)
+    tracemalloc.start()
+    try:
+        build_index(docs, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an (n, fde_dim) float64 array alone is twice the payload, i.e. 20x the input here
+    assert peak < payload + 6 * input_bytes
+
+
+def test_fill_memory_does_not_pad_to_the_longest_document():
+    import tracemalloc
+
+    rng = np.random.default_rng(34)
+    docs = [rng.standard_normal((1, 4)) for _ in range(500)]
+    docs.insert(250, rng.standard_normal((2000, 4)))
+    cfg = FdeConfig(dim=4, k_sim=3, r_reps=2)
+    generate_doc_fdes(docs[:2], cfg)
+    tracemalloc.start()
+    try:
+        generate_doc_fdes(docs, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (documents, longest document) int64 table alone is 501 * 2000 * 8 B = 7.6 MiB
+    assert peak < 2 * 2 ** 20
+
+
 def test_fingerprints_are_stable():
     # digests of files written by earlier versions; a change orphans every stored index
     tokens = np.random.default_rng(5).standard_normal((200, 8))
@@ -327,3 +370,78 @@ def test_config_params_lists_every_scalar_field_once():
     assert list(params) == [f.name for f in dataclasses.fields(FdeConfig) if f.name != "kmeans_partitioners"]
     assert params["d_proj"] == 16 and params["d_final"] == 50
     assert config_fingerprint(FdeConfig(**params)) == config_fingerprint(cfg)
+
+
+def per_document_oracle(matrices, side, config):
+    """The per-document encoder loop the batch encoder replaced, kept as its bit-exact reference."""
+    mats = [as_matrix(m) for m in matrices]
+    b, t, r = config.num_clusters, config.proj_dim, config.r_reps
+    fill = config.fill_empty and side == "doc"
+    stacked = np.vstack(mats)
+    bounds = np.cumsum([0] + [m.shape[0] for m in mats])
+    out = np.zeros((len(mats), b * t * r), dtype=np.float64)
+    for rep in range(r):
+        part = partitioner_for_rep(config, rep)
+        idx_all = assign_many(part, stacked)
+        S = projection_matrix(config, rep)
+        proj_all = stacked if S is None else (stacked @ S.T) / np.sqrt(t)
+        base = rep * b * t
+        for j in range(len(mats)):
+            lo, hi = bounds[j], bounds[j + 1]
+            idx = idx_all[lo:hi]
+            proj = proj_all[lo:hi]
+            acc = np.zeros((b, t), dtype=np.float64)
+            np.add.at(acc, idx, proj)
+            if side == "doc":
+                counts = np.bincount(idx, minlength=b)
+                nonempty = counts > 0
+                acc[nonempty] /= counts[nonempty, None]
+                if fill and not nonempty.all():
+                    empty = np.flatnonzero(~nonempty)
+                    if isinstance(part, SimHashPartitioner):
+                        dist = np.bitwise_count(idx[:, None] ^ empty[None, :])
+                    else:
+                        dist = sq_dists(stacked[lo:hi], part.centers[empty])
+                    acc[empty] = proj[np.argmin(dist, axis=0)]
+            out[j, base:base + b * t] = acc.ravel()
+    out *= 1.0 / np.sqrt(r)
+    if config.d_final is not None:
+        out = final_project_many(out, config.d_final, config.seed)
+    return out
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def encoder_cases(draw):
+    dim = draw(st.integers(1, 6))
+    # 1-token documents mixed with long ones; a batch may hold a single document
+    lengths = draw(st.lists(st.sampled_from([1, 1, 2, 3, 9, 40]), min_size=1, max_size=6))
+    data_seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(data_seed)
+    docs = [rng.standard_normal((m, dim)) for m in lengths]
+    if draw(st.booleans()):  # a half-integer grid: duplicate tokens, zero dots and exact distance ties
+        docs = [np.round(2 * d) / 2 for d in docs]
+    cfg = FdeConfig(dim=dim, k_sim=draw(st.integers(1, 5)), d_proj=draw(st.one_of(st.none(), st.integers(1, dim))),
+                    r_reps=draw(st.integers(1, 3)), fill_empty=draw(st.booleans()), seed=draw(st.integers(0, 9)))
+    if draw(st.booleans()):
+        cfg = with_kmeans_partitions(cfg, np.vstack(docs), b=draw(st.integers(1, 6)))
+    if draw(st.booleans()):
+        raw = cfg.num_clusters * cfg.proj_dim * cfg.r_reps
+        if raw > 1:
+            cfg = dataclasses.replace(cfg, d_final=draw(st.integers(1, raw - 1)))
+    return cfg, docs
+
+
+@settings(max_examples=300, deadline=None)
+@given(encoder_cases(), st.sampled_from([1, 2, 5, 40, encoding.BLOCK_TOKENS]))
+def test_batch_encoder_equals_the_per_document_loop(case, block_tokens):
+    cfg, docs = case
+    want_doc = per_document_oracle(docs, "doc", cfg)
+    with mock.patch.object(encoding, "BLOCK_TOKENS", block_tokens):  # from one document per block to one block
+        assert same_bits(generate_query_fdes(docs, cfg), per_document_oracle(docs, "query", cfg))
+        assert same_bits(generate_doc_fdes(docs, cfg), want_doc)
+        # build_index encodes straight to float32; the result is the rounded float64 encoding
+        assert same_bits(build_index(docs, cfg).dense, want_doc.astype(np.float32))

@@ -330,3 +330,15 @@ def test_build_errors_name_the_doc_id(small_dataset):
         build_index(corpus[:2] + [doc], CFG, doc_ids=[70, 71, 72])
     with pytest.raises(ValueError, match="2 doc ids for 3 documents"):
         build_index(corpus[:3], CFG, doc_ids=[70, 71])
+
+
+def test_index_rejects_out_of_range_codes_at_construction(small_dataset):
+    corpus, queries, _ = small_dataset
+    index = build_index(corpus, CFG, pq=PqSpec(c=4, g=8))
+    FdeIndex(index.doc_ids, CFG, codebook=index.codebook, codes=index.codes)
+    bad = index.codes.copy()
+    bad[7, 3] = index.codebook.effective_c[3]
+    with pytest.raises(ValueError):
+        FdeIndex(index.doc_ids, CFG, codebook=index.codebook, codes=bad)
+    with pytest.raises(ValueError):
+        FdeIndex(index.doc_ids, CFG, codebook=index.codebook, codes=index.codes[:, :-1])

@@ -52,6 +52,18 @@ def test_zero_dot_hashes_to_bit_zero():
     assert assign_many(part, [[0.0, 1.0]])[0] == 2  # first dot exactly 0 -> bit 0
 
 
+@pytest.mark.parametrize("k_sim", [1, 5, 24])
+def test_sign_bits_pack_lsb_first_into_exact_integers(k_sim):
+    # the packing sums powers of two in float64; every index must match integer bit packing
+    rng = np.random.default_rng(k_sim)
+    part = simhash_new(k_sim, 6, seed=1)
+    X = np.vstack([rng.standard_normal((500, 6)), np.zeros((1, 6))])  # a zero row hashes to 0
+    bits = (X @ part.gaussians.T) > 0.0
+    want = [sum(1 << i for i in range(k_sim) if row[i]) for row in bits]
+    got = assign_many(part, X)
+    assert got.dtype == np.int64 and got.tolist() == want and got[-1] == 0
+
+
 def test_antipodal_points_get_complementary_indices():
     rng = np.random.default_rng(21)
     part = simhash_new(5, 16, seed=4)
