@@ -13,7 +13,9 @@ float64 doc encodings with empty-cluster fill as configured, off, and with
 a final projection (d_final), the query encodings, fde_rankings, query()
 rankings (ids and scores, every query), PQ centers and decode, a k-means
 config (centers, doc encodings, rankings), and sv_candidates with dedup on
-and off followed by the exact rerank.
+and off followed by the exact rerank. top_k is also covered at its edges:
+fde_rankings at depth 1 and depth=None (every document), and sv_candidates
+at k_per_query 1 and past the token count.
 """
 
 from __future__ import annotations
@@ -77,6 +79,13 @@ def main() -> int:
             emit(f"sv_candidates.dedup={dedup}", hits)
         emit("sv.rerank", [fs.brute_force_topk(Q, [corpus[d] for d in h[:wl.k_candidates]], wl.final_k,
                                                doc_ids=h[:wl.k_candidates]) for Q, h in zip(queries, hits)])
+        del hits
+        # top_k at its edges: one hit per query token, and k past the token count (the clamp);
+        # each query's list is digested alone, so no more than one is held at a time
+        for k in (1, tindex.num_tokens + 5):
+            for dedup in (False, True):
+                emit(f"sv_candidates.k={k}.dedup={dedup}",
+                     [digest(np.asarray(fs.sv_candidates(Q, tindex, k, dedup=dedup))) for Q in queries])
         return 0
     cfg = wl.config
     index = fs.build_index(corpus, cfg, pq=wl.pq)
@@ -91,7 +100,9 @@ def main() -> int:
     emit("doc_fdes", fs.generate_doc_fdes(corpus, cfg))
     emit("doc_fdes.fill_empty=False", fs.generate_doc_fdes(corpus, dataclasses.replace(cfg, fill_empty=False)))
     emit("doc_fdes.d_final=256", fs.generate_doc_fdes(corpus, dataclasses.replace(cfg, d_final=256)))
-    emit("fde_rankings", list(fs.fde_rankings(corpus, queries, cfg, depth=wl.k_candidates).values()))
+    for depth in (wl.k_candidates, 1, None):
+        name = "fde_rankings" if depth == wl.k_candidates else f"fde_rankings.depth={depth}"
+        emit(name, list(fs.fde_rankings(corpus, queries, cfg, depth=depth).values()))
     km = fs.with_kmeans_partitions(dataclasses.replace(cfg, r_reps=4), np.vstack(corpus), 16)
     emit("kmeans.centers", [p.centers for p in km.kmeans_partitioners])
     km_index = fs.build_index(corpus, km)

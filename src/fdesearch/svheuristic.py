@@ -15,6 +15,7 @@ token reads all tokens times d floats (``TokenIndex.scan_cost``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +41,17 @@ class TokenIndex:
     def scan_cost(self, num_query_vectors: int) -> int:
         """Floats an exact scan touches for a query with that many tokens."""
         return int(num_query_vectors) * self.num_tokens * self.dim
+
+    @cached_property
+    def _max_norm(self) -> float:
+        """Largest token norm, computed on first use."""
+        return _max_row_norm(self.tokens)
+
+
+def _max_row_norm(x: np.ndarray) -> float:
+    """Largest row norm of x; inf when a squared norm overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.einsum("ij,ij->i", x, x).max()))
 
 
 def build_token_index(corpus: Sequence, doc_ids: Sequence[int] | None = None) -> TokenIndex:
@@ -72,14 +84,21 @@ def sv_candidates(Q, index: TokenIndex, k_per_query: int, dedup: bool) -> list[i
     are interleaved rank-major and mapped to owning doc ids. With dedup,
     later repeats of a doc id are removed, keeping the first occurrence.
     k_per_query larger than the token count is clamped. Non-finite query
-    tokens raise ValueError. The scan touches index.scan_cost(len(Q)) floats.
+    tokens, and finite ones whose dots with the index tokens overflow, raise
+    ValueError. The scan touches index.scan_cost(len(Q)) floats.
     """
     if k_per_query < 1:
         raise ValueError(f"k_per_query must be >= 1, got {k_per_query}")
     Qa = require_finite(as_matrix(Q), "query tokens")
     if Qa.shape[1] != index.dim:
         raise ValueError(f"dimension mismatch: query tokens have d={Qa.shape[1]}, index has d={index.dim}")
-    dots = Qa @ index.tokens.astype(np.float64, copy=False).T  # (m, total_tokens)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = Qa @ index.tokens.astype(np.float64, copy=False).T  # (m, total_tokens)
+    # Cauchy-Schwarz: below 1e300 no product or partial sum of a dot can overflow
+    if not _max_row_norm(Qa) * index._max_norm < 1e300:
+        bad = np.flatnonzero(~np.isfinite(dots).all(axis=1))
+        if bad.size:
+            raise ValueError(f"query token {bad[0]} overflows its dots with the index tokens")
     top = top_k(np.arange(index.num_tokens), dots, k_per_query)  # (m, k); ties by token position
     interleaved = index.owners[top.T.ravel()]  # rank-major: rank 1 for all tokens, then rank 2, ...
     if dedup:

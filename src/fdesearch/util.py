@@ -52,8 +52,31 @@ def top_k(ids, scores, k: int) -> np.ndarray:
     """Positions of the best min(k, n) entries along the last axis.
 
     The one ranking rule of the package: descending score, ties broken by
-    ascending id. scores may be 2-D (one row per query); ids broadcast
-    against it.
+    ascending id, then by position. NaN ranks after every number (NaN ties
+    broken the same way); +-inf rank by value. scores may be 2-D (one row
+    per query); ids broadcast against it.
+
+    The result equals a full sort by (-score, id), but only the entries
+    scoring at least a row's k-th best score are sorted: np.partition finds
+    that score and every tie at the cut is kept, so the cut cannot change
+    the order. A row with fewer than k non-NaN scores (its k-th best is
+    NaN) falls back to the full sort.
     """
     scores = np.asarray(scores)
-    return np.lexsort((np.broadcast_to(ids, scores.shape), -scores), axis=-1)[..., :max(k, 0)]
+    ids = np.broadcast_to(ids, scores.shape)
+    n = scores.shape[-1]
+    if 0 < k < n:
+        flat = scores.reshape(-1, n)
+        neg = -flat
+        neg.partition(k - 1, axis=1)  # partition puts NaN last, as the ranking does
+        cut = neg[:, k - 1:k].copy()
+        if not np.isnan(cut).any():
+            # refill the partitioned buffer in place: a second (rows, n) array made 32 x 64k ~1.6x slower
+            np.negative(flat, out=neg)
+            # row-major, so equal keys keep their position order (flatnonzero: ~10x faster than 2-D nonzero)
+            row, col = np.divmod(np.flatnonzero(neg <= cut), n)
+            order = np.lexsort((ids.reshape(-1, n)[row, col], neg[row, col], row))
+            counts = np.bincount(row, minlength=len(neg))
+            first = np.cumsum(counts) - counts  # where each row's survivors start in order
+            return col[order[first[:, None] + np.arange(k)]].reshape(scores.shape[:-1] + (k,))
+    return np.lexsort((ids, -scores), axis=-1)[..., :max(k, 0)]

@@ -129,13 +129,16 @@ def test_input_validation():
 
 @pytest.mark.parametrize("dedup", [False, True])
 def test_tied_dots_match_the_stable_argsort_oracle(dedup):
-    # integer-grid tokens and queries give exact ties, including -0.0 against 0.0
+    # integer-grid tokens and queries give exact ties, including -0.0 against 0.0; with 400
+    # documents (~1000 tokens, 27 distinct) the k-th dot ties across hundreds of tokens
     rng = np.random.default_rng(9)
-    corpus = [rng.integers(-1, 2, size=(int(rng.integers(1, 5)), 3)).astype(np.float64) for _ in range(25)]
-    index = build_token_index(corpus, doc_ids=rng.permutation(100)[:25])
     Q = np.array([[1.0, 0.0, 0.0], [-0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, -1.0, 1.0]])
-    for k in (1, 3, 7, index.num_tokens, index.num_tokens + 5):
-        assert sv_candidates(Q, index, k, dedup=dedup) == stable_argsort_oracle(Q, index, k, dedup)
+    for num_docs in (25, 400):
+        corpus = [rng.integers(-1, 2, size=(int(rng.integers(1, 5)), 3)).astype(np.float64)
+                  for _ in range(num_docs)]
+        index = build_token_index(corpus, doc_ids=rng.permutation(4 * num_docs)[:num_docs])
+        for k in (1, 3, 7, 40, index.num_tokens - 1, index.num_tokens, index.num_tokens + 5):
+            assert sv_candidates(Q, index, k, dedup=dedup) == stable_argsort_oracle(Q, index, k, dedup)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -153,3 +156,15 @@ def test_non_finite_tokens_are_rejected(bad):
     Q[0, 0] = bad
     with pytest.raises(ValueError, match="query"):
         sv_candidates(Q, index, 2, dedup=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_dots_raise_naming_the_query_token():
+    # finite tokens whose true dots are 0 and -2e400; the float64 matmul gives NaN and -inf
+    index = build_token_index([np.array([[1e200, -1e200]]), np.array([[-1e200, -1e200]])])
+    with pytest.raises(ValueError, match="query token 0"):
+        sv_candidates(np.array([[1e200, 1e200]]), index, 2, dedup=False)
+    with pytest.raises(ValueError, match="query token 1"):
+        sv_candidates(np.array([[1e-200, 0.0], [1e200, 1e200]]), index, 2, dedup=False)
+    # past the norm guard but every dot finite: ranked as usual
+    assert sv_candidates(np.array([[1e100, 0.0]]), index, 2, dedup=False) == [0, 1]
