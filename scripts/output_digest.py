@@ -10,12 +10,15 @@ refactor leaves every output bit-identical:
 The workloads are the seeded corpora of perfbench/workloads.py at full size.
 Covered outputs: the stored doc encodings (dense float32 or PQ codes), the
 float64 doc encodings with empty-cluster fill as configured, off, and with
-a final projection (d_final), the query encodings, fde_rankings, query()
-rankings (ids and scores, every query), PQ centers and decode, a k-means
-config (centers, doc encodings, rankings), and sv_candidates with dedup on
-and off followed by the exact rerank. top_k is also covered at its edges:
-fde_rankings at depth 1 and depth=None (every document), and sv_candidates
-at k_per_query 1 and past the token count.
+a final projection (d_final), the query encodings as one batch, with
+d_final, and one query at a time on one config object (the path query()
+takes, served from the config's cached draws after the first call),
+fde_rankings, query() rankings (ids and scores, every query), PQ centers
+and decode, a k-means config (centers, doc and query encodings, rankings),
+and sv_candidates with dedup on and off followed by the exact rerank.
+top_k is also covered at its edges: fde_rankings at depth 1 and
+depth=None (every document), and sv_candidates at k_per_query 1 and past
+the token count.
 """
 
 from __future__ import annotations
@@ -97,6 +100,8 @@ def main() -> int:
     emit("query", [fs.query(index, Q, wl.k_candidates, wl.final_k, wl.carve_tau).ranking for Q in queries])
     del index
     emit("query_fdes", fs.generate_query_fdes(queries, cfg))
+    emit("query_fdes.d_final=256", fs.generate_query_fdes(queries, dataclasses.replace(cfg, d_final=256)))
+    emit("query_fdes.one_by_one", [fs.generate_query_fdes([Q], cfg)[0] for Q in queries])
     emit("doc_fdes", fs.generate_doc_fdes(corpus, cfg))
     emit("doc_fdes.fill_empty=False", fs.generate_doc_fdes(corpus, dataclasses.replace(cfg, fill_empty=False)))
     emit("doc_fdes.d_final=256", fs.generate_doc_fdes(corpus, dataclasses.replace(cfg, d_final=256)))
@@ -107,6 +112,7 @@ def main() -> int:
     emit("kmeans.centers", [p.centers for p in km.kmeans_partitioners])
     km_index = fs.build_index(corpus, km)
     emit("kmeans.doc_fdes", km_index.dense)
+    emit("kmeans.query_fdes", fs.generate_query_fdes(queries, km))
     emit("kmeans.query", [fs.query(km_index, Q, wl.k_candidates, wl.final_k).ranking for Q in queries])
     return 0
 

@@ -18,7 +18,6 @@ from .encoding import (
     generate_doc_fdes,
     generate_query_fde,
     generate_query_fdes,
-    inner_project,
     with_kmeans_partitions,
 )
 from .engine import (
@@ -50,9 +49,7 @@ from .partition import (
     KMeansPartitioner,
     SimHashPartitioner,
     assign_many,
-    hamming,
     kmeans_train,
-    simhash_from_gaussians,
     simhash_new,
 )
 from .pq import (

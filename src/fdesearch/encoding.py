@@ -27,12 +27,14 @@ optional final +/-1 projection reduces the concatenated vector to d_final.
 
 All randomness is derived from (seed, purpose, repetition), so query and
 document sides generated with equal configs share the same partitions and
-projections, and generation order cannot change outputs.
+projections, and generation order cannot change outputs. A config draws
+it once, on first use, and every later encoding reuses the draws.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -107,6 +109,18 @@ class FdeConfig:
             raise ValueError("kmeans config has no trained partitioners attached")
         return self.kmeans_partitioners[0].num_clusters
 
+    @functools.cached_property
+    def _draws(self) -> tuple[tuple, np.ndarray | None]:
+        """Each repetition's (partitioner, projection or None), and the final matrix or None.
+
+        Drawn on first use and kept: the config is frozen, so they cannot go
+        stale. Concurrent first uses draw the same values, so a race only
+        repeats the work.
+        """
+        reps = tuple((partitioner_for_rep(self, rep), projection_matrix(self, rep)) for rep in range(self.r_reps))
+        raw = self.num_clusters * self.proj_dim * self.r_reps
+        return reps, None if self.d_final is None else _final_matrix(raw, self.d_final, self.seed)
+
 
 @dataclass(frozen=True, eq=False)
 class Fde:
@@ -173,6 +187,7 @@ def with_kmeans_partitions(config: FdeConfig, tokens, b: int,
 
 
 def partitioner_for_rep(config: FdeConfig, rep: int):
+    """Draw one repetition's partitioner; the encoder reads config._draws, which calls this once."""
     if config.partitioner == "simhash":
         return simhash_new(config.k_sim, config.dim, config.seed, rep)
     if config.kmeans_partitioners is None:
@@ -181,7 +196,7 @@ def partitioner_for_rep(config: FdeConfig, rep: int):
 
 
 def projection_matrix(config: FdeConfig, rep: int) -> np.ndarray | None:
-    """The (d_proj, d) +/-1 matrix for one repetition, or None when identity."""
+    """Draw the (d_proj, d) +/-1 matrix for one repetition, or None when identity."""
     t, d = config.proj_dim, config.dim
     if t == d:
         return None
@@ -189,18 +204,12 @@ def projection_matrix(config: FdeConfig, rep: int) -> np.ndarray | None:
     return (rng.integers(0, 2, size=(t, d), dtype=np.int8) * 2 - 1).astype(np.float64)
 
 
-def inner_project(x, rep: int, config: FdeConfig) -> np.ndarray:
-    """Apply one repetition's block projection to a single d-vector."""
-    xa = np.asarray(x, dtype=np.float64)
-    if xa.ndim != 1 or xa.shape[0] != config.dim:
-        raise ValueError(f"expected a vector of dimension {config.dim}, got shape {xa.shape}")
-    S = projection_matrix(config, rep)
-    if S is None:
-        return xa.copy()
-    return (S @ xa) / np.sqrt(config.proj_dim)
-
-
 def _final_matrix(in_dim: int, d_final: int, seed: int) -> np.ndarray:
+    """Draw the (d_final, in_dim) int8 +/-1 final projection."""
+    if d_final >= in_dim:
+        raise ValueError(f"d_final={d_final} must be < input dimension {in_dim}")
+    if d_final < 1:
+        raise ValueError(f"d_final must be >= 1, got {d_final}")
     rng = derive_rng(seed, FINAL_PROJ, 0)
     return rng.integers(0, 2, size=(d_final, in_dim), dtype=np.int8) * 2 - 1
 
@@ -208,14 +217,13 @@ def _final_matrix(in_dim: int, d_final: int, seed: int) -> np.ndarray:
 def final_project_many(V, d_final: int, seed: int) -> np.ndarray:
     """Project rows of V from their dimension down to d_final."""
     Va = as_matrix(V)
-    in_dim = Va.shape[1]
-    if d_final >= in_dim:
-        raise ValueError(f"d_final={d_final} must be < input dimension {in_dim}")
-    if d_final < 1:
-        raise ValueError(f"d_final must be >= 1, got {d_final}")
-    S = _final_matrix(in_dim, d_final, seed)
+    return _final_project(Va, _final_matrix(Va.shape[1], d_final, seed))
+
+
+def _final_project(Va: np.ndarray, S: np.ndarray) -> np.ndarray:
+    d_final, in_dim = S.shape
     out = np.empty((Va.shape[0], d_final), dtype=np.float64)
-    block = max(1, min(d_final, (1 << 21) // max(in_dim, 1)))  # bound the f64 slice of S
+    block = max(1, min(d_final, (1 << 21) // in_dim))  # bound the f64 slice of S
     for j in range(0, d_final, block):
         out[:, j:j + block] = Va @ S[j:j + block].T.astype(np.float64)
     out /= np.sqrt(d_final)
@@ -276,7 +284,7 @@ def _rep_block(idx: np.ndarray, proj: np.ndarray, d2: np.ndarray | None, lengths
 
 
 def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig,
-                  partitioners: Sequence | None = None, dtype=np.float64) -> np.ndarray:
+                  dtype=np.float64) -> np.ndarray:
     """Shared query/document encoder over a batch of token matrices.
 
     Each repetition assigns and projects the stacked tokens of the whole
@@ -293,10 +301,9 @@ def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig,
     for m in mats:
         if m.shape[1] != config.dim:
             raise ValueError(f"dimension mismatch: tokens have d={m.shape[1]}, config.dim={config.dim}")
-    if partitioners is not None and len(partitioners) != config.r_reps:
-        raise ValueError(f"need one partitioner per repetition, got {len(partitioners)}")
+    reps, final = config._draws
 
-    b = partitioners[0].num_clusters if partitioners is not None else config.num_clusters
+    b = config.num_clusters
     t = config.proj_dim
     n, r = len(mats), config.r_reps
     stacked = np.vstack(mats)
@@ -307,43 +314,37 @@ def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig,
     blocks = [(slice(lo, hi), slice(ends[lo] - lengths[lo], ends[hi - 1]),  # documents, their tokens,
                np.repeat(np.arange(hi - lo) * b, lengths[lo:hi]))  # B * each token's document in the block
               for lo, hi in zip(bounds, bounds[1:])]
-    out = np.empty((n, r, b * t), dtype=np.float64 if config.d_final is not None else dtype)
+    out = np.empty((n, r, b * t), dtype=np.float64 if final is not None else dtype)
 
-    for rep in range(r):
-        part = partitioners[rep] if partitioners is not None else partitioner_for_rep(config, rep)
-        if part.num_clusters != b:
-            raise ValueError("partitioners disagree on cluster count")
+    for rep, (part, S) in enumerate(reps):
         idx, d2 = assign_with_dists(part, stacked)
-        S = projection_matrix(config, rep)
         proj = stacked if S is None else (stacked @ S.T) / np.sqrt(t)
         for docs, toks, owner_base in blocks:
             out[docs, rep] = _rep_block(idx[toks], proj[toks], None if d2 is None else d2[toks],
                                         lengths[docs], owner_base, side, config, b)
     out = out.reshape(n, r * b * t)
-    if config.d_final is not None:
-        out = final_project_many(out, config.d_final, config.seed).astype(dtype, copy=False)
+    if final is not None:
+        out = _final_project(out, final).astype(dtype, copy=False)
     return out
 
 
-def generate_query_fdes(queries: Sequence, config: FdeConfig,
-                        partitioners: Sequence | None = None) -> np.ndarray:
+def generate_query_fdes(queries: Sequence, config: FdeConfig) -> np.ndarray:
     """Encode a batch of queries; returns an (n, fde_dim) matrix."""
-    return _encode_batch(queries, "query", config, partitioners)
+    return _encode_batch(queries, "query", config)
 
 
-def generate_doc_fdes(docs: Sequence, config: FdeConfig,
-                      partitioners: Sequence | None = None) -> np.ndarray:
+def generate_doc_fdes(docs: Sequence, config: FdeConfig) -> np.ndarray:
     """Encode a batch of documents; returns an (n, fde_dim) matrix."""
-    return _encode_batch(docs, "doc", config, partitioners)
+    return _encode_batch(docs, "doc", config)
 
 
-def generate_query_fde(Q, config: FdeConfig, partitioners: Sequence | None = None) -> Fde:
+def generate_query_fde(Q, config: FdeConfig) -> Fde:
     """Encode one query. Empty clusters stay zero blocks; never filled."""
-    values = _encode_batch([Q], "query", config, partitioners)[0]
+    values = _encode_batch([Q], "query", config)[0]
     return Fde(values=values, side="query", fingerprint=config_fingerprint(config))
 
 
-def generate_doc_fde(P, config: FdeConfig, partitioners: Sequence | None = None) -> Fde:
+def generate_doc_fde(P, config: FdeConfig) -> Fde:
     """Encode one document (centroids per cluster, empty-cluster fill per config)."""
-    values = _encode_batch([P], "doc", config, partitioners)[0]
+    values = _encode_batch([P], "doc", config)[0]
     return Fde(values=values, side="doc", fingerprint=config_fingerprint(config))

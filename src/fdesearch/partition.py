@@ -72,14 +72,6 @@ def simhash_new(k_sim: int, d: int, seed: int, rep: int = 0) -> SimHashPartition
     return SimHashPartitioner(gaussians=g)
 
 
-def simhash_from_gaussians(gaussians) -> SimHashPartitioner:
-    """Build a partitioner from explicit hyperplanes (testing / analysis)."""
-    g = as_matrix(gaussians)
-    if g.shape[0] > MAX_K_SIM:
-        raise ValueError(f"at most {MAX_K_SIM} hyperplanes supported, got {g.shape[0]}")
-    return SimHashPartitioner(gaussians=g)
-
-
 def assign_many(partitioner, X) -> np.ndarray:
     """Cluster indices for the rows of an (m, d) matrix."""
     return assign_with_dists(partitioner, X)[0]
@@ -106,17 +98,6 @@ def assign_with_dists(partitioner, X) -> tuple[np.ndarray, np.ndarray | None]:
 def sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """(m, B) squared Euclidean distances from the rows of X to the rows of C."""
     return np.sum(X * X, axis=1)[:, None] - 2.0 * (X @ C.T) + np.sum(C * C, axis=1)[None, :]
-
-
-def hamming(a: int, b: int, k_sim: int) -> int:
-    """Number of disagreeing bits between two cluster indices."""
-    if not 1 <= k_sim <= MAX_K_SIM:
-        raise ValueError(f"k_sim must be in [1, {MAX_K_SIM}], got {k_sim}")
-    a, b = int(a), int(b)
-    limit = 1 << k_sim
-    if not (0 <= a < limit and 0 <= b < limit):
-        raise ValueError(f"indices must be < 2^{k_sim}, got {a}, {b}")
-    return (a ^ b).bit_count()
 
 
 def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, list[float]]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import lloyd_kmeans, sq_dists
-from .util import PQ_SAMPLE, as_matrix, derive_rng
+from .util import PQ_SAMPLE, as_matrix, derive_rng, require_finite
 
 TRAIN_SAMPLE_LIMIT = 100_000
 
@@ -35,6 +35,12 @@ class PqCodebook:
 
     centers: np.ndarray
     effective_c: np.ndarray  # (num_groups,) ints
+
+    def __post_init__(self):
+        # checked once here, so a corrupt stored codebook cannot reach the scan
+        require_finite(self.centers, "codebook centers")
+        if np.any((self.effective_c < 1) | (self.effective_c > self.num_centers)):
+            raise ValueError(f"effective center counts must be in [1, {self.num_centers}]")
 
     @property
     def num_groups(self) -> int:

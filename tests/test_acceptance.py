@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fdesearch.chamfer import brute_force_topk, nchamfer
-from fdesearch.encoding import FdeConfig, fde_dim, generate_doc_fdes, generate_query_fde, generate_query_fdes, inner_project
+from fdesearch.encoding import FdeConfig, fde_dim, generate_doc_fdes, generate_query_fde, generate_query_fdes, projection_matrix
 from fdesearch.engine import PqSpec, ball_carve, build_index, query
 from fdesearch.evaluation import (
     candidates_to_threshold,
@@ -261,6 +261,11 @@ def test_criterion_09_seed_variance(default_data):
     passed = rep.std[100] <= 0.02
     report(9, "recall variance across seeds", passed,
            f"Recall@100 over 10 seeds: mean {rep.mean[100]:.4f}, std {rep.std[100]:.4f} <= 0.02")
+
+
+def inner_project(x, rep, cfg):
+    """One repetition's block projection of a single d-vector, as the encoder applies it."""
+    return projection_matrix(cfg, rep) @ x / np.sqrt(cfg.proj_dim)
 
 
 def test_criterion_10_projection_preserves_dots():

@@ -325,6 +325,24 @@ def index_files(tmp_path_factory, corpus_records):
     return files
 
 
+@pytest.mark.parametrize("corrupt", ["nan center", "inf center", "count 0", "count C+1"])
+def test_corrupt_pq_codebook_is_rejected(tmp_path, index_files, corrupt):
+    header, payload = _split_index(index_files["pq"])
+    groups, c, g = (header["pq"][key] for key in ("num_groups", "c", "g"))
+    at = 8 * header["num_docs"]  # past the doc ids: effective counts, then centers
+    counts = np.frombuffer(payload, "<u2", groups, at).copy()
+    centers = np.frombuffer(payload, "<f8", groups * c * g, at + 2 * groups).copy()
+    if corrupt.endswith("center"):
+        centers[g * c + 1] = np.nan if corrupt.startswith("nan") else np.inf  # group 1, center 0
+    else:
+        counts[1] = 0 if corrupt == "count 0" else c + 1
+    path = tmp_path / "bad.mvix"
+    path.write_bytes(_join_index(header, payload[:at] + counts.tobytes() + centers.tobytes()
+                                 + payload[at + 2 * groups + 8 * centers.size:]))
+    with pytest.raises(ValueError):
+        read_index(path)
+
+
 def _header_paths(obj, prefix=()):
     for key, value in obj.items():
         yield prefix + (key,)

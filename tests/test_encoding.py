@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdesearch import encoding
+from fdesearch import encoding, partition
 from fdesearch.chamfer import nchamfer
 from fdesearch.encoding import (
     FdeConfig,
@@ -18,20 +20,45 @@ from fdesearch.encoding import (
     generate_doc_fdes,
     generate_query_fde,
     generate_query_fdes,
-    inner_project,
     partitioner_for_rep,
     projection_matrix,
     with_kmeans_partitions,
 )
-from fdesearch.engine import build_index
-from fdesearch.partition import SimHashPartitioner, assign_many, hamming, simhash_from_gaussians, sq_dists
+from fdesearch.engine import FdeIndex, batch_query, build_index
+from fdesearch.partition import SimHashPartitioner, assign_many, sq_dists
 from fdesearch.synth import matched_pair
-from fdesearch.util import as_matrix
+from fdesearch.util import as_matrix, derive_rng
 
 
 def unit_rows(rng, m, d):
     x = rng.standard_normal((m, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def with_hyperplanes(gaussians):
+    """Make a fresh config's encoder use these hyperplanes in every repetition."""
+    part = SimHashPartitioner(gaussians=np.array(gaussians, dtype=np.float64))
+    return mock.patch.object(encoding, "partitioner_for_rep", lambda config, rep: part)
+
+
+def inner_project(x, rep, cfg):
+    """One repetition's block projection of a single d-vector, as the encoder applies it."""
+    return projection_matrix(cfg, rep) @ x / np.sqrt(cfg.proj_dim)
+
+
+@st.composite
+def property_cases(draw):
+    """A query, a document and a config without d_proj or d_final: sign hashing or k-means, fill on or off."""
+    dim = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Q = rng.standard_normal((draw(st.integers(1, 8)), dim))
+    P = rng.standard_normal((draw(st.integers(1, 8)), dim))
+    cfg = FdeConfig(dim=dim, k_sim=draw(st.integers(1, 5)), r_reps=draw(st.integers(1, 4)),
+                    fill_empty=draw(st.booleans()), seed=draw(st.integers(0, 9)))
+    if draw(st.booleans()):
+        pool = rng.standard_normal((draw(st.integers(1, 40)), dim))
+        cfg = with_kmeans_partitions(cfg, pool, b=draw(st.integers(1, 6)))
+    return cfg, Q, P
 
 
 def test_output_dimension_arithmetic():
@@ -65,20 +92,20 @@ def test_single_point_query_has_one_nonzero_block_equal_to_it():
 
 
 def test_query_block_is_the_sum_of_colliding_points():
-    part = simhash_from_gaussians([[1.0, 0.0]])
     cfg = FdeConfig(dim=2, k_sim=1, r_reps=1)
     Q = np.array([[0.6, 0.8], [0.9, -0.2]])  # both on the positive side
-    out = generate_query_fde(Q, cfg, partitioners=[part])
+    with with_hyperplanes([[1.0, 0.0]]):
+        out = generate_query_fde(Q, cfg)
     blocks = out.values.reshape(2, 2)
     assert np.allclose(blocks[1], Q.sum(axis=0))
     assert np.allclose(blocks[0], 0.0)
 
 
 def test_doc_block_is_the_average_not_the_sum():
-    part = simhash_from_gaussians([[1.0, 0.0]])
     cfg = FdeConfig(dim=2, k_sim=1, r_reps=1, fill_empty=False)
     P = np.array([[0.6, 0.8], [0.9, -0.2]])
-    out = generate_doc_fde(P, cfg, partitioners=[part])
+    with with_hyperplanes([[1.0, 0.0]]):
+        out = generate_doc_fde(P, cfg)
     blocks = out.values.reshape(2, 2)
     assert np.allclose(blocks[1], P.mean(axis=0))
     assert np.allclose(blocks[0], 0.0)
@@ -95,10 +122,10 @@ def test_single_point_doc_fills_every_cluster():
 
 def test_fill_empty_picks_fewest_disagreeing_bits():
     # hyperplanes = axes: cluster index = (x>0) + 2*(y>0)
-    part = simhash_from_gaussians([[1.0, 0.0], [0.0, 1.0]])
     cfg = FdeConfig(dim=2, k_sim=2, r_reps=1, fill_empty=True)
     P = np.array([[0.6, 0.8], [-0.9, -0.1]])  # clusters 3 and 0
-    blocks = generate_doc_fde(P, cfg, partitioners=[part]).values.reshape(4, 2)
+    with with_hyperplanes([[1.0, 0.0], [0.0, 1.0]]):
+        blocks = generate_doc_fde(P, cfg).values.reshape(4, 2)
     assert np.allclose(blocks[3], P[0])
     assert np.allclose(blocks[0], P[1])
     # cluster 1 is one bit from 3 (P[0]) and one bit from 0 (P[1]); tie -> lowest token index
@@ -106,13 +133,16 @@ def test_fill_empty_picks_fewest_disagreeing_bits():
     assert np.allclose(blocks[2], P[0])
 
 
-def test_query_encoding_is_linear():
-    rng = np.random.default_rng(4)
-    cfg = FdeConfig(dim=12, k_sim=3, d_proj=6, r_reps=4, seed=7)
-    Q = unit_rows(rng, 5, 12)
-    whole = generate_query_fde(Q, cfg).values
-    parts = sum(generate_query_fde(Q[i:i + 1], cfg).values for i in range(5))
-    assert np.allclose(whole, parts, atol=1e-9)
+@settings(max_examples=200, deadline=None)
+@given(property_cases(), st.integers(1, 16), st.booleans())
+def test_query_encoding_is_linear(case, d_proj, final):
+    cfg, Q, _ = case
+    cfg = dataclasses.replace(cfg, d_proj=min(d_proj, cfg.dim))
+    raw = cfg.num_clusters * cfg.proj_dim * cfg.r_reps
+    if final and raw > 1:
+        cfg = dataclasses.replace(cfg, d_final=raw - 1)
+    whole = generate_query_fdes([Q], cfg)[0]
+    assert np.allclose(whole, generate_query_fdes(list(Q[:, None]), cfg).sum(axis=0), atol=1e-9)
 
 
 def test_dot_product_matches_partitioned_average_oracle():
@@ -147,25 +177,25 @@ def test_dot_product_matches_partitioned_average_oracle():
         assert float(fq @ fp) == pytest.approx(np.mean(per_rep), abs=1e-9)
 
 
-def test_estimate_never_exceeds_true_similarity():
-    rng = np.random.default_rng(6)
-    for trial in range(150):
-        d = int(rng.choice([4, 8, 16]))
-        Q = unit_rows(rng, int(rng.integers(1, 9)), d)
-        P = unit_rows(rng, int(rng.integers(1, 9)), d)
-        cfg = FdeConfig(dim=d, k_sim=int(rng.integers(1, 6)),
-                        r_reps=int(rng.integers(1, 4)), seed=trial)
-        est = float(generate_query_fde(Q, cfg).values @ generate_doc_fde(P, cfg).values)
-        assert est / Q.shape[0] <= nchamfer(Q, P) + 1e-9
+@settings(max_examples=200, deadline=None)
+@given(property_cases())
+def test_estimate_never_exceeds_true_similarity(case):
+    cfg, Q, P = case
+    est = float(generate_query_fdes([Q], cfg)[0] @ generate_doc_fdes([P], cfg)[0]) / len(Q)
+    best = (Q @ P.T).max(axis=1)
+    if not cfg.fill_empty:
+        best = np.maximum(best, 0.0)  # a query token whose cluster is empty in P scores 0
+    assert est <= best.mean() + 1e-9
+    if cfg.fill_empty:
+        assert est <= nchamfer(Q, P) + 1e-9
 
 
-def test_query_encoding_sparsity_bound():
-    rng = np.random.default_rng(7)
-    for trial in range(50):
-        m = int(rng.integers(1, 9))
-        cfg = FdeConfig(dim=16, k_sim=5, d_proj=4, r_reps=3, seed=trial)
-        values = generate_query_fde(unit_rows(rng, m, 16), cfg).values
-        assert np.count_nonzero(values) <= m * 4 * 3
+@settings(max_examples=200, deadline=None)
+@given(property_cases(), st.integers(1, 16))
+def test_query_encoding_sparsity_bound(case, d_proj):
+    cfg, Q, _ = case
+    cfg = dataclasses.replace(cfg, d_proj=min(d_proj, cfg.dim))
+    assert np.count_nonzero(generate_query_fdes([Q], cfg)[0]) <= len(Q) * cfg.proj_dim * cfg.r_reps
 
 
 def test_output_length_always_matches_fde_dim():
@@ -189,8 +219,10 @@ def test_generation_input_validation():
 def test_inner_project_identity_when_dims_match():
     cfg = FdeConfig(dim=6, k_sim=2, d_proj=6, r_reps=1)
     x = np.arange(6, dtype=float)
-    assert np.array_equal(inner_project(x, 0, cfg), x)
     assert projection_matrix(cfg, 0) is None
+    # the encoder keeps the token's coordinates, as without d_proj
+    assert np.array_equal(generate_query_fde(x[None], cfg).values,
+                          generate_query_fde(x[None], dataclasses.replace(cfg, d_proj=None)).values)
 
 
 def test_inner_project_zero_maps_to_zero():
@@ -292,7 +324,7 @@ def test_fill_empty_matches_scalar_hamming_oracle():
         idx = assign_many(partitioner_for_rep(cfg, 0), P)
         blocks = generate_doc_fde(P, cfg).values.reshape(1 << k_sim, 6)
         for cluster in set(range(1 << k_sim)) - set(idx.tolist()):
-            nearest = min(range(len(P)), key=lambda i: (hamming(idx[i], cluster, k_sim), i))
+            nearest = min(range(len(P)), key=lambda i: ((int(idx[i]) ^ cluster).bit_count(), i))
             assert np.array_equal(blocks[cluster], P[nearest])
 
 
@@ -445,3 +477,55 @@ def test_batch_encoder_equals_the_per_document_loop(case, block_tokens):
         assert same_bits(generate_doc_fdes(docs, cfg), want_doc)
         # build_index encodes straight to float32; the result is the rounded float64 encoding
         assert same_bits(build_index(docs, cfg).dense, want_doc.astype(np.float32))
+
+
+def test_a_config_draws_its_randomness_once():
+    rng = np.random.default_rng(35)
+    queries = [rng.standard_normal((int(rng.integers(1, 6)), 8)) for _ in range(10)]
+    cfg = FdeConfig(dim=8, k_sim=3, d_proj=4, r_reps=3, d_final=20, seed=4)
+    draws = Counter()
+
+    def counting(seed, purpose, rep=0):
+        draws[purpose, rep] += 1
+        return derive_rng(seed, purpose, rep)
+
+    with mock.patch.object(encoding, "derive_rng", counting), mock.patch.object(partition, "derive_rng", counting):
+        first = [generate_query_fdes([Q], cfg)[0] for Q in queries]
+    # hyperplanes and inner projection per repetition, one final projection
+    assert len(draws) == 2 * 3 + 1 and set(draws.values()) == {1}
+    later = [generate_query_fdes([Q], cfg)[0] for Q in queries]
+    assert all(same_bits(a, b) for a, b in zip(first, later))
+
+
+def test_a_replaced_config_encodes_as_a_fresh_one():
+    rng = np.random.default_rng(36)
+    docs = [rng.standard_normal((5, 8)) for _ in range(4)]
+    base = FdeConfig(dim=8, k_sim=3, d_proj=4, r_reps=3, d_final=20, seed=1)
+    generate_doc_fdes(docs, base)  # draws base's randomness
+    for seed in (2, 3):
+        fresh = FdeConfig(dim=8, k_sim=3, d_proj=4, r_reps=3, d_final=20, seed=seed)
+        replaced = dataclasses.replace(base, seed=seed)
+        for side, encode in (("doc", generate_doc_fdes), ("query", generate_query_fdes)):
+            want = per_document_oracle(docs, side, fresh)  # draws afresh, bypassing any cache
+            assert same_bits(encode(docs, replaced), want) and same_bits(encode(docs, fresh), want)
+
+
+def test_concurrent_first_use_matches_the_sequential_run():
+    rng = np.random.default_rng(37)
+    corpus = [rng.standard_normal((int(rng.integers(1, 9)), 16)) for _ in range(60)]
+    queries = [rng.standard_normal((int(rng.integers(1, 9)), 16)) for _ in range(40)]
+    index = build_index(corpus, FdeConfig(dim=16, k_sim=4, d_proj=8, r_reps=6, seed=3))
+
+    def unused_copy():
+        cfg = dataclasses.replace(index.config)
+        assert "_draws" not in vars(cfg)
+        return FdeIndex(index.doc_ids, cfg, dense=index.dense, corpus=corpus)
+
+    want = batch_query(unused_copy(), queries, 20, 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = batch_query(unused_copy(), queries, 20, 5, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.ranking for r in got] == [r.ranking for r in want]

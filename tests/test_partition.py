@@ -3,11 +3,10 @@ import pytest
 
 from fdesearch.partition import (
     KMeansPartitioner,
+    SimHashPartitioner,
     assign_many,
-    hamming,
     kmeans_train,
     lloyd_kmeans,
-    simhash_from_gaussians,
     simhash_new,
 )
 
@@ -41,14 +40,14 @@ def test_k_sim_bounds():
 
 
 def test_assign_with_injected_hyperplanes():
-    part = simhash_from_gaussians([[1.0, 0.0], [0.0, 1.0]])
+    part = SimHashPartitioner(gaussians=np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert assign_many(part, [[0.6, 0.8]])[0] == 3  # both dots positive, bits (1,1)
     assert assign_many(part, [[0.6, -0.8]])[0] == 1
     assert assign_many(part, [[-0.6, -0.8]])[0] == 0
 
 
 def test_zero_dot_hashes_to_bit_zero():
-    part = simhash_from_gaussians([[1.0, 0.0], [0.0, 1.0]])
+    part = SimHashPartitioner(gaussians=np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert assign_many(part, [[0.0, 1.0]])[0] == 2  # first dot exactly 0 -> bit 0
 
 
@@ -79,32 +78,6 @@ def test_assign_dimension_mismatch():
         assign_many(part, [[1.0, 2.0]])
 
 
-def test_hamming_examples():
-    assert hamming(3, 3, k_sim=4) == 0
-    assert hamming(0b101, 0b010, k_sim=3) == 3
-
-
-def test_hamming_matches_bit_loop_oracle():
-    rng = np.random.default_rng(22)
-    for _ in range(300):
-        k = int(rng.integers(1, 13))
-        a = int(rng.integers(0, 1 << k))
-        b = int(rng.integers(0, 1 << k))
-        expected = sum(1 for i in range(k) if (a >> i) & 1 != (b >> i) & 1)
-        assert hamming(a, b, k) == expected
-
-
-def test_hamming_bounds_and_validation():
-    part = simhash_new(6, 8, seed=1)
-    rng = np.random.default_rng(23)
-    X = unit_rows(rng, 50, 8)
-    idx = assign_many(part, X)
-    for i in range(49):
-        assert 0 <= hamming(int(idx[i]), int(idx[i + 1]), 6) <= 6
-    with pytest.raises(ValueError):
-        hamming(8, 0, k_sim=3)
-
-
 def test_collision_rate_tracks_angle():
     # single-hyperplane disagreement rate over many seeded hyperplanes
     # approaches angle/pi for unit vectors
@@ -120,7 +93,8 @@ def test_collision_rate_tracks_angle():
         total = 0
         for rep in range(500):  # 500 partitions x 20 hyperplanes = 10,000
             part = simhash_new(20, d, seed=100, rep=rep)
-            disagreements += hamming(*assign_many(part, [x, y]), 20)
+            a, b = assign_many(part, [x, y]).tolist()
+            disagreements += (a ^ b).bit_count()
             total += 20
         rate = disagreements / total
         assert abs(rate - target / np.pi) < 0.02
