@@ -14,7 +14,10 @@ a final projection (d_final), the query encodings as one batch, with
 d_final, and one query at a time on one config object (the path query()
 takes, served from the config's cached draws after the first call),
 fde_rankings, query() rankings (ids and scores, every query), PQ centers
-and decode, a k-means config (centers, doc and query encodings, rankings),
+and decode, Lloyd's MSE history (which decides when training stops) for
+four PQ groups, a PQ codebook trained on a duplicate-heavy sample (fewer
+distinct slices than centers) with the codes it gives, a k-means config
+(centers, doc and query encodings, rankings),
 and sv_candidates with dedup on and off followed by the exact rerank.
 top_k is also covered at its edges: fde_rankings at depth 1 and
 depth=None (every document), and sv_candidates at k_per_query 1 and past
@@ -65,7 +68,8 @@ def main() -> int:
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
 
     import fdesearch as fs
-    from fdesearch.pq import pq_decode_many
+    from fdesearch.partition import lloyd_kmeans
+    from fdesearch.pq import pq_decode_many, pq_encode_many, pq_train
     from workloads import WORKLOADS, make_inputs
 
     wl = WORKLOADS[args.workload]
@@ -97,6 +101,16 @@ def main() -> int:
         emit("pq.centers", index.codebook.centers)
         emit("pq.effective_c", index.codebook.effective_c)
         emit("pq.decode", pq_decode_many(index.codebook, index.codes))
+        fdes = fs.generate_doc_fdes(corpus, cfg).astype(np.float32).astype(np.float64)  # what PQ trains on
+        g, groups = wl.pq.g, index.codebook.num_groups
+        for grp in (0, 1, groups // 2, groups - 1):
+            history = lloyd_kmeans(fdes[:, grp * g:(grp + 1) * g], wl.pq.c, cfg.seed, grp)[1]
+            emit(f"lloyd.history.group={grp}", history)
+        dup_book = pq_train(np.round(np.repeat(fdes[:150], 3, axis=0), 1), wl.pq.c, g, cfg.seed)
+        emit("pq.dup_sample.centers", dup_book.centers)
+        emit("pq.dup_sample.effective_c", dup_book.effective_c)
+        emit("pq.dup_sample.codes", pq_encode_many(dup_book, fdes))
+        del fdes
     emit("query", [fs.query(index, Q, wl.k_candidates, wl.final_k, wl.carve_tau).ranking for Q in queries])
     del index
     emit("query_fdes", fs.generate_query_fdes(queries, cfg))

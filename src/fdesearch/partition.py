@@ -95,9 +95,17 @@ def assign_with_dists(partitioner, X) -> tuple[np.ndarray, np.ndarray | None]:
     raise TypeError(f"unknown partitioner type {type(partitioner).__name__}")
 
 
-def sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """(m, B) squared Euclidean distances from the rows of X to the rows of C."""
-    return np.sum(X * X, axis=1)[:, None] - 2.0 * (X @ C.T) + np.sum(C * C, axis=1)[None, :]
+def sq_dists(X: np.ndarray, C: np.ndarray, xx: np.ndarray | None = None) -> np.ndarray:
+    """(m, B) squared Euclidean distances from the rows of X to the rows of C.
+
+    Pass xx = np.sum(X * X, axis=1) to reuse it. Worked in place on the product, so each
+    entry rounds as xx - 2 x.c + cc is written (a -2 folded into C would not, for subnormals).
+    """
+    t = X @ C.T
+    t *= -2.0
+    t += (np.sum(X * X, axis=1) if xx is None else xx)[:, None]
+    t += np.sum(C * C, axis=1)
+    return t
 
 
 def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, list[float]]:
@@ -117,15 +125,18 @@ def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, l
     rng = derive_rng(seed, KMEANS_INIT, rep)
     centers = distinct[rng.choice(distinct.shape[0], size=k_eff, replace=False)].copy()
 
+    n, d = pts.shape
+    xx, weights = np.sum(pts * pts, axis=1), pts.ravel()  # once per call, not per update
     history: list[float] = []
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = sq_dists(pts, centers)
+        d2 = sq_dists(pts, centers, xx)
         labels = np.argmin(d2, axis=1)
-        mse = float(np.maximum(d2[np.arange(pts.shape[0]), labels], 0.0).mean())
+        mse = float(np.maximum(d2.take(np.arange(n) * k_eff + labels), 0.0).mean())
         history.append(mse)
         counts = np.bincount(labels, minlength=k_eff)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, pts)
+        # one flat bincount sums each center's points from 0 in point order, as np.add.at did
+        sums = np.bincount((labels[:, None] * d + np.arange(d)).ravel(), weights=weights,
+                           minlength=k_eff * d).reshape(k_eff, d)
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]  # empty clusters keep their center
         if len(history) >= 2:

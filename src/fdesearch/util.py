@@ -21,6 +21,10 @@ PQ_SAMPLE = 0x6C
 SYNTH = 0x6D
 KMEANS_SAMPLE = 0x6E
 
+# top_k full-sorts inputs of at most this many scores: one lexsort beats partial selection's
+# ~20 numpy calls below ~1.2-1.3k entries (k=100: 0.035 vs 0.046 ms at 1.2k; 2 vCPU, numpy 2.4)
+FULL_SORT_MAX = 1200
+
 
 def derive_rng(seed: int, purpose: int, rep: int = 0) -> np.random.Generator:
     """Return a Generator keyed by (seed, purpose, rep)."""
@@ -59,13 +63,13 @@ def top_k(ids, scores, k: int) -> np.ndarray:
     The result equals a full sort by (-score, id), but only the entries
     scoring at least a row's k-th best score are sorted: np.partition finds
     that score and every tie at the cut is kept, so the cut cannot change
-    the order. A row with fewer than k non-NaN scores (its k-th best is
-    NaN) falls back to the full sort.
+    the order. Inputs of at most FULL_SORT_MAX scores and rows with fewer
+    than k non-NaN scores (their k-th best is NaN) take the full sort.
     """
     scores = np.asarray(scores)
     ids = np.broadcast_to(ids, scores.shape)
     n = scores.shape[-1]
-    if 0 < k < n:
+    if 0 < k < n and scores.size > FULL_SORT_MAX:
         flat = scores.reshape(-1, n)
         neg = -flat
         neg.partition(k - 1, axis=1)  # partition puts NaN last, as the ranking does

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -371,3 +372,36 @@ def test_malformed_header_raises_value_error(index_files, data):
         with pytest.raises(ValueError):
             read_index(path)
         assert cli_main(["inspect", str(path)]) == 1
+
+
+@pytest.fixture(scope="module")
+def mvec_file(tmp_path_factory, corpus_records):
+    path = tmp_path_factory.mktemp("mvec") / "c.mvec"
+    write_mvec(path, corpus_records[:8])
+    return path.read_bytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_truncated_or_flipped_files_raise_only_value_error(index_files, mvec_file, data):
+    kind = data.draw(st.sampled_from(["mvec", *sorted(index_files)]))
+    blob = bytearray(mvec_file if kind == "mvec" else index_files[kind])
+    # most flips land near the start: the binary counts and dims, then the index's JSON header
+    for _ in range(data.draw(st.integers(0, 3))):
+        pos = data.draw(st.one_of(*(st.integers(0, min(len(blob), end) - 1) for end in (32, 400, len(blob)))))
+        blob[pos] ^= data.draw(st.integers(1, 255))
+    blob = blob[:data.draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))]
+    reader = read_mvec if kind == "mvec" else read_index
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"fuzzed.{kind}"
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            reader(path)  # reads back, or raises ValueError; any other exception fails the test
+        except ValueError:
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    # a corrupt count must not make the reader allocate far past what the file holds
+    assert peak <= 8 * len(blob) + (1 << 18), (kind, len(blob), peak)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdesearch.partition import (
+    KMEANS_MAX_ITERS,
+    KMEANS_TOL,
     KMeansPartitioner,
     SimHashPartitioner,
     assign_many,
@@ -9,6 +13,8 @@ from fdesearch.partition import (
     lloyd_kmeans,
     simhash_new,
 )
+from fdesearch.pq import PqCodebook, pq_encode_many, pq_train
+from fdesearch.util import KMEANS_INIT, derive_rng
 
 
 def unit_rows(rng, m, d):
@@ -153,3 +159,87 @@ def test_lloyd_mse_never_increases():
 def test_kmeans_assignment_ties_go_to_lowest_index():
     part = KMeansPartitioner(centers=np.array([[1.0, 0.0], [-1.0, 0.0]]))
     assert assign_many(part, [[0.0, 5.0]])[0] == 0  # equidistant
+
+
+# The nearest-center kernel against an oracle that keeps the three-term distance
+# expression and the np.add.at center sums the kernel replaced: same bits expected.
+
+def oracle_sq_dists(X, C):
+    return np.sum(X * X, axis=1)[:, None] - 2.0 * (X @ C.T) + np.sum(C * C, axis=1)[None, :]
+
+
+def oracle_lloyd(pts, k, seed, rep=0):
+    distinct = np.unique(pts, axis=0)
+    k_eff = min(k, distinct.shape[0])
+    rng = derive_rng(seed, KMEANS_INIT, rep)
+    centers = distinct[rng.choice(distinct.shape[0], size=k_eff, replace=False)].copy()
+    history = []
+    for _ in range(KMEANS_MAX_ITERS):
+        d2 = oracle_sq_dists(pts, centers)
+        labels = np.argmin(d2, axis=1)
+        history.append(float(np.maximum(d2[np.arange(pts.shape[0]), labels], 0.0).mean()))
+        counts = np.bincount(labels, minlength=k_eff)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, pts)
+        nonempty = counts > 0
+        centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+        if len(history) >= 2:
+            prev, cur = history[-2], history[-1]
+            if prev <= 0.0 or (prev - cur) / prev < KMEANS_TOL:
+                break
+    return centers, history
+
+
+@st.composite
+def point_sets(draw, max_dim=4):
+    """Points on a half-integer grid (duplicates, exact distance ties) or Gaussian,
+    scaled by 1, a subnormal-product scale or a large one, with some rows repeated."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, max_dim))
+    if draw(st.booleans()):
+        pts = np.array(draw(st.lists(st.integers(-4, 4), min_size=n * d, max_size=n * d)), dtype=np.float64) / 2
+    else:
+        pts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n * d)
+    pts = pts.reshape(n, d) * draw(st.sampled_from([1.0, 1e-155, 3e100]))
+    repeat = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    return np.vstack([pts, pts[repeat]])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=point_sets(), extra_k=st.integers(-40, 5), seed=st.integers(0, 3), rep=st.integers(0, 3))
+def test_lloyd_kmeans_matches_the_three_term_oracle_bit_for_bit(pts, extra_k, seed, rep):
+    distinct = np.unique(pts, axis=0).shape[0]
+    k = max(1, distinct + extra_k)  # up to 5 above the number of distinct points
+    centers, history = lloyd_kmeans(pts, k, seed, rep=rep)
+    want_centers, want_history = oracle_lloyd(pts, k, seed, rep)
+    assert same_bits(centers, want_centers)
+    assert [h.hex() for h in history] == [h.hex() for h in want_history]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=point_sets(max_dim=3), groups=st.integers(1, 3), c=st.integers(1, 48), seed=st.integers(0, 3),
+       probe=st.lists(st.integers(-4, 4), max_size=24))
+def test_pq_train_and_encode_match_the_three_term_oracle_bit_for_bit(pts, groups, c, seed, probe):
+    V = np.hstack([np.roll(pts, shift, axis=0) for shift in range(groups)])  # groups see different slices
+    g = pts.shape[1]
+    book = pq_train(V, c=c, g=g, seed=seed)
+    for grp in range(groups):
+        want, _ = oracle_lloyd(V[:, grp * g:(grp + 1) * g], c, seed, grp)
+        assert book.effective_c[grp] == want.shape[0]
+        assert same_bits(book.centers[grp, :want.shape[0]], want)
+    # half-integer probes sit exactly between grid centers, so ties must go to the lowest center
+    W = np.vstack([V, np.resize(np.array(probe, dtype=np.float64) / 2, (len(probe) // V.shape[1], V.shape[1]))])
+    want_codes = np.stack([np.argmin(oracle_sq_dists(W[:, grp * g:(grp + 1) * g],
+                                                     book.centers[grp, :book.effective_c[grp]]), axis=1)
+                           for grp in range(groups)], axis=1).astype(np.uint8)
+    assert same_bits(pq_encode_many(book, W), want_codes)
+
+
+@pytest.mark.parametrize("centers", [[0.0, 2.0], [2.0, 0.0]])
+def test_pq_encode_ties_go_to_the_lowest_center(centers):
+    book = PqCodebook(centers=np.array(centers).reshape(1, 2, 1), effective_c=np.array([2]))
+    assert pq_encode_many(book, [[1.0]])[0, 0] == 0  # equidistant from both centers

@@ -1,13 +1,18 @@
 """The one ranking rule: descending score, ties broken by ascending id."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fdesearch.util import top_k
+from fdesearch import util
+from fdesearch.util import FULL_SORT_MAX, top_k
+
+# 0 sends every 0 < k < n input through partial selection; the shipped value full-sorts small ones
+BOTH_PATHS = st.sampled_from([0, FULL_SORT_MAX])
 
 # -0.0 and 0.0 compare equal and must tie; NaN ranks after -inf
 SPECIAL = [-np.inf, -1.5, -0.0, 0.0, 0.25, 1.0, 1e300, -1e-300, np.inf, np.nan]
@@ -44,24 +49,26 @@ def sorted_positions(ids, scores, k):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.integers(0, 300))
-def test_top_k_equals_sorted_by_score_then_id(data, n):
+@given(data=st.data(), n=st.integers(0, 300), full_sort_max=BOTH_PATHS)
+def test_top_k_equals_sorted_by_score_then_id(data, n, full_sort_max):
     scores = data.draw(score_row(n))
     ids = np.array(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)), dtype=np.int64)
     k = data.draw(k_for(n))
-    got = top_k(ids, scores, k)
+    with mock.patch.object(util, "FULL_SORT_MAX", full_sort_max):
+        got = top_k(ids, scores, k)
     assert got.shape == (min(max(k, 0), n),)
     assert got.tolist() == sorted_positions(ids.tolist(), scores.tolist(), k)
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), rows=st.integers(1, 5), n=st.integers(1, 300))
-def test_top_k_ranks_each_row_of_a_matrix_alone(data, rows, n):
+@given(data=st.data(), rows=st.integers(1, 5), n=st.integers(1, 300), full_sort_max=BOTH_PATHS)
+def test_top_k_ranks_each_row_of_a_matrix_alone(data, rows, n, full_sort_max):
     # each row draws its own values, so rows keep different numbers of ties at the cut
     scores = np.stack([data.draw(score_row(n)) for _ in range(rows)])
     ids = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
     k = data.draw(k_for(n))
-    got = top_k(ids, scores, k)
+    with mock.patch.object(util, "FULL_SORT_MAX", full_sort_max):
+        got = top_k(ids, scores, k)
     assert got.shape == (rows, min(k, n))
     for r in range(rows):
         assert got[r].tolist() == sorted_positions(ids.tolist(), scores[r].tolist(), k)
@@ -83,3 +90,20 @@ def test_top_k_sorts_only_the_survivors_of_the_cut(monkeypatch):
     monkeypatch.undo()
     assert sizes and max(sizes) <= rows * k
     assert np.array_equal(got, np.lexsort((np.broadcast_to(ids, scores.shape), -scores))[:, :k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shape=st.sampled_from([(1, FULL_SORT_MAX - 1), (1, FULL_SORT_MAX), (1, FULL_SORT_MAX + 1),
+                                              (2, FULL_SORT_MAX // 2), (2, FULL_SORT_MAX // 2 + 1),
+                                              (1, FULL_SORT_MAX + 40)]))
+def test_top_k_matches_the_full_sort_on_both_sides_of_the_size_cut(data, shape):
+    rows, n = shape
+    scores = np.stack([data.draw(score_row(n)) for _ in range(rows)])
+    ids = np.array(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)), dtype=np.int64)
+    k = data.draw(k_for(n))
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
+        got = top_k(ids, scores, k)
+    for r in range(rows):
+        assert got[r].tolist() == sorted_positions(ids.tolist(), scores[r].tolist(), k)
+    if scores.size <= FULL_SORT_MAX:  # small inputs are ranked by one lexsort of every entry
+        assert spy.call_count == 1 and np.size(spy.call_args.args[0][1]) == scores.size
