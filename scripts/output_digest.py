@@ -13,7 +13,11 @@ float64 doc encodings with empty-cluster fill as configured, off, and with
 a final projection (d_final), the query encodings as one batch, with
 d_final, and one query at a time on one config object (the path query()
 takes, served from the config's cached draws after the first call),
-fde_rankings, query() rankings (ids and scores, every query), PQ centers
+fde_rankings, query() rankings (ids and scores, every query), also with
+the rerank corpus replaced by a float64 copy that is not float32-exact
+and on an index of a corpus whose odd documents repeat the even ones
+(exact ties in scan and rerank), chamfer_one_nn of the first queries
+over the whole corpus, PQ centers
 and decode, Lloyd's MSE history (which decides when training stops) for
 four PQ groups, a PQ codebook trained on a duplicate-heavy sample (fewer
 distinct slices than centers) with the codes it gives, a k-means config
@@ -79,6 +83,8 @@ def main() -> int:
     def emit(name, value):  # print as we go, so large outputs are not held together
         print(f"{wl.name} seed={args.seed} {name} {digest(value)}", flush=True)
 
+    emit("chamfer_one_nn", list(fs.chamfer_one_nn(queries[:8], corpus).items()))
+
     if wl.config is None:
         tindex = fs.build_token_index(corpus)
         for dedup in (False, True):
@@ -112,7 +118,14 @@ def main() -> int:
         emit("pq.dup_sample.codes", pq_encode_many(dup_book, fdes))
         del fdes
     emit("query", [fs.query(index, Q, wl.k_candidates, wl.final_k, wl.carve_tau).ranking for Q in queries])
+    index.attach_corpus([m.astype(np.float64) * (1 + 2.0 ** -30) for m in corpus])  # not float32-exact
+    emit("query.float64_corpus", [fs.query(index, Q, wl.k_candidates, wl.final_k, wl.carve_tau).ranking
+                                  for Q in queries])
     del index
+    twins = fs.build_index([corpus[i - i % 2] for i in range(len(corpus))], cfg)
+    emit("query.duplicate_docs", [fs.query(twins, Q, wl.k_candidates, wl.final_k, wl.carve_tau).ranking
+                                  for Q in queries])
+    del twins
     emit("query_fdes", fs.generate_query_fdes(queries, cfg))
     emit("query_fdes.d_final=256", fs.generate_query_fdes(queries, dataclasses.replace(cfg, d_final=256)))
     emit("query_fdes.one_by_one", [fs.generate_query_fdes([Q], cfg)[0] for Q in queries])

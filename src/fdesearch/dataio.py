@@ -385,7 +385,7 @@ def write_run(path, run: Mapping, meta: Mapping | None = None) -> None:
     for qid in sorted(run):
         for rank, item in enumerate(run[qid], 1):
             doc_id, score = item if isinstance(item, tuple) else (item, 0.0)
-            lines.append(f"{int(qid)}\t{int(doc_id)}\t{rank}\t{score:.9g}")
+            lines.append(f"{int(qid)}\t{int(doc_id)}\t{rank}\t{float(score)!r}")  # repr reads back exactly
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -48,7 +48,7 @@ from .partition import (
     kmeans_train,
     simhash_new,
 )
-from .util import FINAL_PROJ, INNER_PROJ, KMEANS_SAMPLE, as_matrix, derive_rng
+from .util import FINAL_PROJ, INNER_PROJ, KMEANS_SAMPLE, as_matrices, as_matrix, derive_rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,19 +295,24 @@ def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig,
     the concatenation is assembled and projected in float64, and the
     projection is cast.
     """
-    mats = [as_matrix(m) for m in matrices]
+    mats = as_matrices(matrices)
     if not mats:
         raise ValueError("no inputs to encode")
     for m in mats:
         if m.shape[1] != config.dim:
             raise ValueError(f"dimension mismatch: tokens have d={m.shape[1]}, config.dim={config.dim}")
-    reps, final = config._draws
+    # float32 inputs are widened here only, in one stacked copy
+    return _encode_stacked(np.concatenate(mats, dtype=np.float64), np.array([m.shape[0] for m in mats]),
+                           side, config, dtype)
 
+
+def _encode_stacked(stacked: np.ndarray, lengths: np.ndarray, side: str, config: FdeConfig,
+                    dtype) -> np.ndarray:
+    """_encode_batch of documents given as float64 (T, config.dim) stacked tokens, lengths[i] rows each."""
+    reps, final = config._draws
     b = config.num_clusters
     t = config.proj_dim
-    n, r = len(mats), config.r_reps
-    stacked = np.vstack(mats)
-    lengths = np.array([m.shape[0] for m in mats])
+    n, r = len(lengths), config.r_reps
     ends = np.cumsum(lengths)
     # a block holds the documents whose first token falls in one BLOCK_TOKENS span
     bounds = [0, *(np.flatnonzero(np.diff((ends - lengths) // BLOCK_TOKENS)) + 1), n]

@@ -31,10 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .chamfer import brute_force_topk
-from .encoding import Fde, FdeConfig, _encode_batch, config_fingerprint, fde_dim, generate_query_fdes
+from .chamfer import TokenCorpus, chamfer_top_k
+from .encoding import Fde, FdeConfig, _encode_stacked, config_fingerprint, fde_dim, generate_query_fdes
 from .pq import PqCodebook, check_code_matrix, pq_encode_many, pq_table, pq_table_dots, pq_train
-from .util import as_matrix, require_finite, top_k
+from .util import as_matrices, as_matrix, require_finite, shortlist, top_k
 
 DEFAULT_CARVE_TAU = 0.7  # recall is flat above this threshold; rerank cost is not
 
@@ -89,7 +89,8 @@ class ExactScanBackend:
     gemv does not; the tests check this), and ranked by (-dot, ascending
     doc id). The result equals that of a float64 scan of every row. When
     the float32 scan overflows, or d·u > 1/4 where the bound no longer
-    holds, every row is rescored. No (n, d) float64 array is made.
+    holds, every row is rescored (util.shortlist, the rule the exact
+    Chamfer rerank shares). No (n, d) float64 array is made.
     """
 
     def __init__(self, doc_ids: np.ndarray, fdes: np.ndarray):
@@ -111,12 +112,7 @@ class ExactScanBackend:
             q32 = q.astype(np.float32)
             approx = self.fdes @ q32
             slack = self._norms * (self._coef * np.linalg.norm(q) + 2 * np.linalg.norm(q - q32)) + self._floor
-        if np.isfinite(approx).all() and np.isfinite(slack).all():
-            lo = approx - slack
-            kth = len(lo) - min(k, len(lo))
-            rows = np.flatnonzero(approx + slack >= np.partition(lo, kth)[kth])
-        else:
-            rows = slice(None)
+        rows = shortlist(approx, slack, k)
         dots = np.einsum("ij,j->i", self.fdes[rows], q, dtype=np.float64, casting="safe")
         return _top_by_dot(self.doc_ids[rows], dots, k)
 
@@ -197,20 +193,33 @@ class FdeIndex:
     def attach_corpus(self, corpus: Sequence) -> None:
         """Attach raw token embeddings (aligned with doc_ids) for reranking.
 
-        Every document must be a finite (m, config.dim) matrix.
+        Every document must be a finite (m, config.dim) matrix. They are
+        held stacked (chamfer.TokenCorpus), in float32 when all are float32.
         """
         if len(corpus) != self.num_docs:
             raise ValueError(f"corpus has {len(corpus)} documents, index has {self.num_docs}")
-        for doc_id, m in zip(self.doc_ids, corpus):
-            m = require_finite(as_matrix(m), f"document {doc_id} tokens")
-            if m.shape[1] != self.config.dim:
-                raise ValueError(f"document {doc_id} tokens have d={m.shape[1]}, config.dim={self.config.dim}")
-        self.corpus = list(corpus)
+        self.corpus = _token_corpus(corpus, self.doc_ids, self.config.dim)
 
-    def doc_matrix(self, doc_id: int) -> np.ndarray:
+    def _tokens(self) -> TokenCorpus:
         if self.corpus is None:
             raise ValueError("index has no corpus attached; reranking needs the raw embeddings")
-        return self.corpus[self._pos[int(doc_id)]]
+        return self.corpus
+
+    def doc_matrix(self, doc_id: int) -> np.ndarray:
+        """The attached tokens of one document: a view in the corpus dtype."""
+        return self._tokens().doc(self._pos[int(doc_id)])
+
+
+def _token_corpus(corpus: Sequence, ids, dim: int) -> TokenCorpus:
+    """corpus stacked, after checking that its documents are finite (m, dim) matrices."""
+    mats = as_matrices(corpus)
+    for doc_id, m in zip(ids, mats):
+        if m.shape[1] != dim:
+            raise ValueError(f"document {doc_id} tokens have d={m.shape[1]}, config.dim={dim}")
+    tokens = TokenCorpus(mats)
+    for i in np.flatnonzero(~np.isfinite(tokens.norms)):  # a finite norm has finite entries
+        require_finite(tokens.doc(i), f"document {ids[i]} tokens")
+    return tokens
 
 
 def build_index(corpus: Sequence, config: FdeConfig, pq: PqSpec | None = None,
@@ -227,21 +236,21 @@ def build_index(corpus: Sequence, config: FdeConfig, pq: PqSpec | None = None,
     ids = list(range(len(corpus)) if doc_ids is None else doc_ids)
     if len(ids) != len(corpus):
         raise ValueError(f"got {len(ids)} doc ids for {len(corpus)} documents")
-    mats = [require_finite(as_matrix(p), f"document {ids[i]} tokens") for i, p in enumerate(corpus)]
-    dims = {m.shape[1] for m in mats}
-    if len(dims) != 1:
-        raise ValueError(f"corpus has mixed dimensions: {sorted(dims)}")
+    tokens = _token_corpus(corpus, ids, config.dim)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected just below
-        fdes = _encode_batch(mats, "doc", config, dtype=np.float32)
+        fdes = _encode_stacked(tokens.tokens.astype(np.float64, copy=False), tokens.lengths, "doc", config,
+                               np.float32)
         # float32 entries cannot overflow a float64 row sum: it is finite exactly when the row is
         bad = np.flatnonzero(~np.isfinite(fdes.sum(axis=1, dtype=np.float64)))
     if bad.size:
         raise ValueError(f"document {ids[bad[0]]} has a non-finite float32 encoding (overflow)")
     if pq is None:
-        return FdeIndex(ids, config, dense=fdes, corpus=mats)
-    codebook = pq_train(fdes, c=pq.c, g=pq.g, seed=config.seed)
-    codes = pq_encode_many(codebook, fdes)
-    return FdeIndex(ids, config, codebook=codebook, codes=codes, corpus=mats)
+        index = FdeIndex(ids, config, dense=fdes)
+    else:
+        codebook = pq_train(fdes, c=pq.c, g=pq.g, seed=config.seed)
+        index = FdeIndex(ids, config, codebook=codebook, codes=pq_encode_many(codebook, fdes))
+    index.corpus = tokens  # checked above
+    return index
 
 
 def mips_search(index: FdeIndex, query_fde, k_candidates: int):
@@ -291,8 +300,9 @@ def query(index: FdeIndex, Q, k_candidates: int, final_k: int,
     """Encode Q, over-retrieve k_candidates by dot product, rerank exactly.
 
     Reranking scores candidates with Chamfer similarity on the raw corpus
-    embeddings, using the ball-carved query when carve_tau is given.
-    Returns the final_k best candidates.
+    embeddings, using the ball-carved query when carve_tau is given
+    (chamfer_top_k: a float32 screen, then chamfer on the candidates that
+    can still make the cut). Returns the final_k best candidates.
     """
     if final_k < 1 or final_k > k_candidates:
         raise ValueError(f"need 1 <= final_k <= k_candidates, got final_k={final_k}, k_candidates={k_candidates}")
@@ -306,7 +316,7 @@ def query(index: FdeIndex, Q, k_candidates: int, final_k: int,
     t2 = time.perf_counter()
     rerank_q = ball_carve(Q, carve_tau).vectors if carve_tau is not None else Q
     ids = [doc_id for doc_id, _ in candidates]
-    ranking = brute_force_topk(rerank_q, [index.doc_matrix(d) for d in ids], final_k, doc_ids=ids)
+    ranking = chamfer_top_k(rerank_q, index._tokens(), [index._pos[d] for d in ids], ids, final_k)
     t3 = time.perf_counter()
     return RetrievalResult(
         ranking=ranking,

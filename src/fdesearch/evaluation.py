@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chamfer import brute_force_topk
+from .chamfer import TokenCorpus, brute_force_topk
 from .encoding import FdeConfig, config_fingerprint, fde_dim, generate_doc_fdes, generate_query_fdes
 from .util import top_k
 
@@ -89,9 +89,10 @@ def oracle_qrels(one_nn: Mapping) -> dict:
 def chamfer_one_nn(queries: Sequence, corpus: Sequence,
                    query_ids: Sequence | None = None,
                    doc_ids: Sequence[int] | None = None) -> dict:
-    """Exact Chamfer 1-nearest neighbor per query (slow, ground truth)."""
+    """Exact Chamfer 1-nearest neighbor per query (ground truth); the corpus is stacked once."""
     qids = list(query_ids) if query_ids is not None else list(range(len(queries)))
-    return {qids[i]: brute_force_topk(queries[i], corpus, 1, doc_ids=doc_ids)[0][0]
+    tokens = TokenCorpus(corpus)
+    return {qids[i]: brute_force_topk(queries[i], tokens, 1, doc_ids=doc_ids)[0][0]
             for i in range(len(queries))}
 
 

@@ -108,6 +108,19 @@ def sq_dists(X: np.ndarray, C: np.ndarray, xx: np.ndarray | None = None) -> np.n
     return t
 
 
+def distinct_rows(pts: np.ndarray) -> np.ndarray:
+    """np.unique(pts, axis=0) without its structured-row sort: sorted by the first column when it has
+    no ties, else by one lexsort; rows equal up to signs of zeros keep the first in pts."""
+    order = np.argsort(pts[:, 0], kind="stable")
+    first = pts[order, 0]
+    if (first[1:] == first[:-1]).any():
+        order = np.lexsort(pts.T[::-1])
+    rows = pts[order]
+    changed = np.ones(len(rows), dtype=bool)
+    changed[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[changed]
+
+
 def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, list[float]]:
     """Lloyd's algorithm with seeded distinct-point initialization.
 
@@ -120,7 +133,7 @@ def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, l
     pts = as_matrix(points)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    distinct = np.unique(pts, axis=0)
+    distinct = distinct_rows(pts)
     k_eff = min(k, distinct.shape[0])
     rng = derive_rng(seed, KMEANS_INIT, rep)
     centers = distinct[rng.choice(distinct.shape[0], size=k_eff, replace=False)].copy()

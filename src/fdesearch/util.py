@@ -31,13 +31,13 @@ def derive_rng(seed: int, purpose: int, rep: int = 0) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(purpose), int(rep)])
 
 
-def as_matrix(x) -> np.ndarray:
-    """Coerce an array-like to a 2-D float64 matrix.
+def as_matrix(x, dtype=np.float64) -> np.ndarray:
+    """Coerce an array-like to a 2-D matrix of dtype (float64 by default).
 
     Raises ValueError for anything that is not a nonempty (m, d) matrix
     with m >= 1 and d >= 1.
     """
-    data = np.asarray(x, dtype=np.float64)
+    data = np.asarray(x, dtype=dtype)
     if data.ndim != 2:
         raise ValueError(f"expected a 2-D (rows, dim) matrix, got ndim={data.ndim}")
     if data.shape[0] < 1 or data.shape[1] < 1:
@@ -45,11 +45,26 @@ def as_matrix(x) -> np.ndarray:
     return data
 
 
+def as_matrices(mats) -> list[np.ndarray]:
+    """as_matrix of each, except that a float32 array stays float32 and is not copied."""
+    return [as_matrix(m, np.float32 if getattr(m, "dtype", None) == np.float32 else np.float64) for m in mats]
+
+
 def require_finite(x: np.ndarray, what: str) -> np.ndarray:
     """Return x, or raise ValueError naming what when an entry is NaN or inf."""
     if not np.isfinite(x).all():
         raise ValueError(f"{what} must be finite")
     return x
+
+
+def shortlist(approx: np.ndarray, slack: np.ndarray, k: int):
+    """Positions whose upper bound approx + slack reaches the k-th largest lower bound approx - slack
+    (the others are strictly beaten by k; ties at the cut stay); all (slice(None)) if any is not finite."""
+    if not (np.isfinite(approx).all() and np.isfinite(slack).all()):
+        return slice(None)
+    lo = approx - slack
+    kth = len(lo) - min(k, len(lo))
+    return np.flatnonzero(approx + slack >= np.partition(lo, kth)[kth])
 
 
 def top_k(ids, scores, k: int) -> np.ndarray:

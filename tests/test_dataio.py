@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fdesearch.cli import cli_main
 from fdesearch.dataio import (
@@ -25,8 +26,10 @@ from fdesearch.dataio import (
     write_qrels,
     write_run,
 )
-from fdesearch.encoding import FdeConfig, with_kmeans_partitions
-from fdesearch.engine import PqSpec, build_index, mips_search, query
+from fdesearch.encoding import FdeConfig, config_params, with_kmeans_partitions
+from fdesearch.engine import FdeIndex, PqSpec, build_index, mips_search, query
+from fdesearch.partition import KMeansPartitioner
+from fdesearch.pq import PqCodebook
 from fdesearch.synth import SynthSpec, generate_synthetic
 
 
@@ -405,3 +408,95 @@ def test_truncated_or_flipped_files_raise_only_value_error(index_files, mvec_fil
             tracemalloc.stop()
     # a corrupt count must not make the reader allocate far past what the file holds
     assert peak <= 8 * len(blob) + (1 << 18), (kind, len(blob), peak)
+
+
+IDS = st.integers(-2**63, 2**63 - 1)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mvec_files_round_trip_any_records(data):
+    d = data.draw(st.integers(1, 6))
+    records = data.draw(st.lists(st.tuples(st.integers(0, 2**64 - 1), arrays(
+        np.float32, st.tuples(st.integers(1, 4), st.just(d)), elements=st.floats(width=32))), min_size=1, max_size=6))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.mvec"
+        write_mvec(path, records)
+        loaded = read_mvec(path)
+        assert [i for i, _ in loaded] == [i for i, _ in records]
+        assert all(same_bits(a, b) for (_, a), (_, b) in zip(loaded, records))  # NaN payloads too
+        write_mvec(Path(tmp) / "again.mvec", loaded)
+        assert (Path(tmp) / "again.mvec").read_bytes() == path.read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(qrels=st.dictionaries(IDS, st.dictionaries(IDS, st.integers(1, 2**31), min_size=1, max_size=4), max_size=5),
+       run=st.dictionaries(IDS, st.lists(st.tuples(IDS, st.floats(allow_nan=False)), min_size=1, max_size=5),
+                           max_size=5),
+       meta=st.dictionaries(st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,8}", fullmatch=True),
+                            st.from_regex(r"([A-Za-z0-9_.:/=-]([A-Za-z0-9_.:/= -]{0,8}[A-Za-z0-9_.:/=-])?)?",
+                                          fullmatch=True), max_size=3))
+def test_qrels_and_run_files_round_trip_bit_for_bit(qrels, run, meta):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_qrels(Path(tmp) / "q.tsv", qrels)
+        assert read_qrels(Path(tmp) / "q.tsv") == qrels
+        write_run(Path(tmp) / "r.tsv", run, meta=meta)
+        got_meta, got = read_run(Path(tmp) / "r.tsv")
+    assert got_meta == meta
+    assert {q: [(d, s.hex()) for d, s in v] for q, v in got.items()} == \
+        {q: [(d, float(s).hex()) for d, s in v] for q, v in run.items()}
+
+
+@st.composite
+def random_indexes(draw):
+    """An index of random contents: dense, PQ, or dense with k-means partitions."""
+    kind = draw(st.sampled_from(["dense", "pq", "kmeans"]))
+    dim, reps, n = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    finite = st.floats(-1e6, 1e6, width=32)
+    cfg = FdeConfig(dim=dim, k_sim=draw(st.integers(1, 3)), d_proj=draw(st.integers(1, dim)), r_reps=reps,
+                    fill_empty=draw(st.booleans()), seed=draw(st.integers(0, 2**31)))
+    if kind == "kmeans":
+        b = draw(st.integers(1, 4))
+        requested = draw(st.integers(b, 8))  # one value for every repetition: the header stores one
+        parts = tuple(KMeansPartitioner(centers=draw(arrays(np.float64, (b, dim), elements=finite)),
+                                        requested_b=requested) for _ in range(reps))
+        cfg = dataclasses.replace(cfg, partitioner="kmeans", kmeans_partitioners=parts)
+    width = cfg.num_clusters * cfg.proj_dim * reps
+    if width > 1 and draw(st.booleans()):
+        width = draw(st.integers(1, width - 1))
+        cfg = dataclasses.replace(cfg, d_final=width)
+    ids = draw(st.lists(IDS, min_size=n, max_size=n, unique=True))
+    if kind != "pq":
+        return FdeIndex(ids, cfg, dense=draw(arrays(np.float32, (n, width), elements=finite)))
+    g = draw(st.sampled_from([g for g in range(1, width + 1) if width % g == 0]))
+    c = draw(st.integers(1, 8))
+    counts = draw(arrays(np.int64, width // g, elements=st.integers(1, c)))
+    codes = np.stack([draw(arrays(np.uint8, n, elements=st.integers(0, int(e) - 1))) for e in counts], axis=1)
+    book = PqCodebook(centers=draw(arrays(np.float64, (width // g, c, g), elements=finite)), effective_c=counts)
+    return FdeIndex(ids, cfg, codebook=book, codes=codes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_indexes())
+def test_index_files_round_trip_any_contents(index):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.mvix"
+        write_index(path, index)
+        loaded = read_index(path)
+        write_index(Path(tmp) / "again.mvix", loaded)
+        assert (Path(tmp) / "again.mvix").read_bytes() == path.read_bytes()
+    assert loaded.fingerprint == index.fingerprint
+    assert config_params(loaded.config) == config_params(index.config)
+    assert same_bits(loaded.doc_ids, index.doc_ids)
+    if index.dense is not None:
+        assert same_bits(loaded.dense, index.dense)
+    else:
+        assert same_bits(loaded.codes, index.codes)
+        assert same_bits(loaded.codebook.centers, index.codebook.centers)
+        assert np.array_equal(loaded.codebook.effective_c, index.codebook.effective_c)
+    for a, b in zip(loaded.config.kmeans_partitioners or (), index.config.kmeans_partitioners or ()):
+        assert same_bits(a.centers, b.centers) and a.requested_b == b.requested_b

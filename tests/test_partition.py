@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fdesearch.partition import (
     KMEANS_MAX_ITERS,
@@ -9,6 +10,7 @@ from fdesearch.partition import (
     KMeansPartitioner,
     SimHashPartitioner,
     assign_many,
+    distinct_rows,
     kmeans_train,
     lloyd_kmeans,
     simhash_new,
@@ -243,3 +245,23 @@ def test_pq_train_and_encode_match_the_three_term_oracle_bit_for_bit(pts, groups
 def test_pq_encode_ties_go_to_the_lowest_center(centers):
     book = PqCodebook(centers=np.array(centers).reshape(1, 2, 1), effective_c=np.array([2]))
     assert pq_encode_many(book, [[1.0]])[0, 0] == 0  # equidistant from both centers
+
+
+@st.composite
+def row_sets(draw):
+    """Rows of few values (duplicates, ties in every column, +0.0 and -0.0) or of any finite floats."""
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 4))  # d = 1: one-dimensional points
+    values = st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.5]) | st.floats(-1e3, 1e3)
+    pts = draw(arrays(np.float64, (n, d), elements=values))
+    return np.vstack([pts, pts[draw(st.lists(st.integers(0, n - 1), max_size=n))]])
+
+
+@settings(max_examples=500, deadline=None)
+@given(row_sets())
+def test_distinct_rows_match_np_unique(pts):
+    got, want = distinct_rows(pts), np.unique(pts, axis=0)
+    assert same_bits(got + 0.0, want + 0.0)  # adding 0.0 turns -0.0 into 0.0
+    for row in got:  # of rows equal up to the signs of zeros, the first in pts is kept
+        assert row.tobytes() == pts[np.flatnonzero((pts == row).all(axis=1))[0]].tobytes()
+    if not np.signbit(pts[pts == 0]).any():
+        assert same_bits(got, want)
