@@ -14,6 +14,7 @@ a final projection (d_final), the query encodings as one batch, with
 d_final, and one query at a time on one config object (the path query()
 takes, served from the config's cached draws after the first call),
 fde_rankings, query() rankings (ids and scores, every query), also with
+k_candidates = final_k (every candidate is kept), with
 the rerank corpus replaced by a float64 copy that is not float32-exact
 and on an index of a corpus whose odd documents repeat the even ones
 (exact ties in scan and rerank), chamfer_one_nn of the first queries
@@ -118,6 +119,8 @@ def main() -> int:
         emit("pq.dup_sample.codes", pq_encode_many(dup_book, fdes))
         del fdes
     emit("query", [fs.query(index, Q, wl.k_candidates, wl.final_k, wl.carve_tau).ranking for Q in queries])
+    emit("query.k_candidates=final_k", [fs.query(index, Q, wl.final_k, wl.final_k, wl.carve_tau).ranking
+                                        for Q in queries])
     index.attach_corpus([m.astype(np.float64) * (1 + 2.0 ** -30) for m in corpus])  # not float32-exact
     emit("query.float64_corpus", [fs.query(index, Q, wl.k_candidates, wl.final_k, wl.carve_tau).ranking
                                   for Q in queries])

@@ -14,7 +14,6 @@ from .encoding import (
     FdeConfig,
     config_fingerprint,
     fde_dim,
-    generate_doc_fde,
     generate_doc_fdes,
     generate_query_fde,
     generate_query_fdes,
@@ -40,7 +39,6 @@ from .evaluation import (
     chamfer_one_nn,
     fde_rankings,
     grid_search,
-    one_recall_at_n,
     oracle_qrels,
     recall_at_n,
     variance_study,

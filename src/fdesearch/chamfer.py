@@ -79,22 +79,26 @@ def chamfer_top_k(Q, corpus: TokenCorpus, rows, ids, k: int) -> list:
     j. It covers the float32 rounding of Q and of a float64 corpus, the float32 dots (underflow
     included), the float64 dots in chamfer and the float64 sums over query tokens, with a factor-2
     margin, for d·2⁻²⁴ ≤ 1/4. Only the documents util.shortlist keeps are scored with chamfer;
-    all are when the screen is not finite (overflow, a non-finite token) or d·2⁻²⁴ > 1/4.
+    all are when the screen is not finite (overflow, a non-finite token) or d·2⁻²⁴ > 1/4, and
+    when k ≥ len(rows), where the screen is skipped because it could drop none.
     """
     q = as_matrix(Q)
     m, d = q.shape
     if d != corpus.tokens.shape[1]:
         raise ValueError(f"dimension mismatch: Q has d={d}, P has d={corpus.tokens.shape[1]}")
     rows, ids = np.asarray(rows, dtype=np.intp), np.asarray(ids, dtype=np.int64)
-    starts = np.cumsum(corpus.lengths[rows]) - corpus.lengths[rows]
-    blocks = np.split(rows, np.flatnonzero(np.diff(starts // max(1, SCREEN_BLOCK // max(m, d)))) + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite screen rescores every document
-        q32 = q.astype(np.float32)
-        approx = np.concatenate([_screen(q32, corpus, block) for block in blocks])
-        c = (d + 4) * 2.0 ** -24 + (d + 2 * m) * 2.0 ** -53 if d * 2.0 ** -24 <= 0.25 else np.inf
-        n, dq = np.linalg.norm(q, axis=1).sum(), np.linalg.norm(q - q32, axis=1).sum()
-        slack = 2 * (c * n + dq) * corpus.norms[rows] + 2 * (n + dq + m) * d * 2.0 ** -149
-    keep = shortlist(approx, slack, k)
+    if k >= len(rows):
+        keep = slice(None)
+    else:
+        starts = np.cumsum(corpus.lengths[rows]) - corpus.lengths[rows]
+        blocks = np.split(rows, np.flatnonzero(np.diff(starts // max(1, SCREEN_BLOCK // max(m, d)))) + 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite screen rescores every document
+            q32 = q.astype(np.float32)
+            approx = np.concatenate([_screen(q32, corpus, block) for block in blocks])
+            c = (d + 4) * 2.0 ** -24 + (d + 2 * m) * 2.0 ** -53 if d * 2.0 ** -24 <= 0.25 else np.inf
+            n, dq = np.linalg.norm(q, axis=1).sum(), np.linalg.norm(q - q32, axis=1).sum()
+            slack = 2 * (c * n + dq) * corpus.norms[rows] + 2 * (n + dq + m) * d * 2.0 ** -149
+        keep = shortlist(approx, slack, k)
     ids = ids[keep]
     scores = np.array([chamfer(q, corpus.doc(r)) for r in rows[keep]])
     return [(int(ids[i]), float(scores[i])) for i in top_k(ids, scores, k)]

@@ -269,8 +269,7 @@ def write_index(path, index: FdeIndex) -> None:
         "storage": index.storage,
     }
     if index.config.kmeans_partitioners is not None:
-        parts = index.config.kmeans_partitioners
-        header["kmeans"] = {"b": parts[0].num_clusters, "requested_b": parts[0].requested_b}
+        header["kmeans"] = {"b": index.config.num_clusters}
     if index.codebook is not None:
         header["pq"] = {"num_groups": index.codebook.num_groups,
                         "c": index.codebook.num_centers, "g": index.codebook.group_dim}
@@ -313,11 +312,8 @@ def read_index(path, corpus_records: Sequence | None = None) -> FdeIndex:
     doc_ids = rd.array("<u8", num_docs, "doc ids").astype(np.int64)
     if config.partitioner == "kmeans":
         b = _header_count(header["kmeans"], "b", path, "kmeans.", least=1)
-        requested = _header_count(header["kmeans"], "requested_b", path, "kmeans.")
-        partitioners = tuple(
-            KMeansPartitioner(centers=rd.array("<f8", b * config.dim, f"kmeans centers rep {rep}")
-                              .reshape(b, config.dim), requested_b=requested)
-            for rep in range(config.r_reps))
+        partitioners = tuple(KMeansPartitioner(centers=rd.array("<f8", b * config.dim, f"kmeans centers rep {rep}")
+                                               .reshape(b, config.dim)) for rep in range(config.r_reps))
         config = dataclasses.replace(config, kmeans_partitioners=partitioners)
     if config_fingerprint(config) != fingerprint:
         raise ValueError(f"{path}: stored fingerprint does not match the stored config; file is corrupt")

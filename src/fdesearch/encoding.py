@@ -124,10 +124,9 @@ class FdeConfig:
 
 @dataclass(frozen=True, eq=False)
 class Fde:
-    """A single dense encoding plus the side and config it came from."""
+    """One query encoding plus the fingerprint of the config it came from."""
 
     values: np.ndarray
-    side: str  # "query" | "doc"
     fingerprint: str
 
 
@@ -208,16 +207,8 @@ def _final_matrix(in_dim: int, d_final: int, seed: int) -> np.ndarray:
     """Draw the (d_final, in_dim) int8 +/-1 final projection."""
     if d_final >= in_dim:
         raise ValueError(f"d_final={d_final} must be < input dimension {in_dim}")
-    if d_final < 1:
-        raise ValueError(f"d_final must be >= 1, got {d_final}")
     rng = derive_rng(seed, FINAL_PROJ, 0)
     return rng.integers(0, 2, size=(d_final, in_dim), dtype=np.int8) * 2 - 1
-
-
-def final_project_many(V, d_final: int, seed: int) -> np.ndarray:
-    """Project rows of V from their dimension down to d_final."""
-    Va = as_matrix(V)
-    return _final_project(Va, _final_matrix(Va.shape[1], d_final, seed))
 
 
 def _final_project(Va: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -283,17 +274,13 @@ def _rep_block(idx: np.ndarray, proj: np.ndarray, d2: np.ndarray | None, lengths
     return acc.reshape(n, b * t)
 
 
-def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig,
-                  dtype=np.float64) -> np.ndarray:
-    """Shared query/document encoder over a batch of token matrices.
+def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig) -> np.ndarray:
+    """Shared query/document encoder over a batch of token matrices; float64 (n, fde_dim).
 
     Each repetition assigns and projects the stacked tokens of the whole
     batch at once, then builds the encodings of consecutive documents
     holding about BLOCK_TOKENS tokens at a time (_rep_block), so per-cell
-    temporaries stay small whatever the batch size. The result has the
-    given dtype: without d_final it is written straight in it; with d_final
-    the concatenation is assembled and projected in float64, and the
-    projection is cast.
+    temporaries stay small whatever the batch size.
     """
     mats = as_matrices(matrices)
     if not mats:
@@ -303,12 +290,17 @@ def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig,
             raise ValueError(f"dimension mismatch: tokens have d={m.shape[1]}, config.dim={config.dim}")
     # float32 inputs are widened here only, in one stacked copy
     return _encode_stacked(np.concatenate(mats, dtype=np.float64), np.array([m.shape[0] for m in mats]),
-                           side, config, dtype)
+                           side, config, np.float64)
 
 
 def _encode_stacked(stacked: np.ndarray, lengths: np.ndarray, side: str, config: FdeConfig,
                     dtype) -> np.ndarray:
-    """_encode_batch of documents given as float64 (T, config.dim) stacked tokens, lengths[i] rows each."""
+    """_encode_batch of documents given as float64 (T, config.dim) stacked tokens, lengths[i] rows each.
+
+    The result has the given dtype: without d_final it is written straight
+    in it; with d_final the concatenation is assembled and projected in
+    float64, and the projection is cast.
+    """
     reps, final = config._draws
     b = config.num_clusters
     t = config.proj_dim
@@ -344,12 +336,5 @@ def generate_doc_fdes(docs: Sequence, config: FdeConfig) -> np.ndarray:
 
 
 def generate_query_fde(Q, config: FdeConfig) -> Fde:
-    """Encode one query. Empty clusters stay zero blocks; never filled."""
-    values = _encode_batch([Q], "query", config)[0]
-    return Fde(values=values, side="query", fingerprint=config_fingerprint(config))
-
-
-def generate_doc_fde(P, config: FdeConfig) -> Fde:
-    """Encode one document (centroids per cluster, empty-cluster fill per config)."""
-    values = _encode_batch([P], "doc", config)[0]
-    return Fde(values=values, side="doc", fingerprint=config_fingerprint(config))
+    """Encode one query with its config's fingerprint, which mips_search checks against the index."""
+    return Fde(values=_encode_batch([Q], "query", config)[0], fingerprint=config_fingerprint(config))

@@ -308,11 +308,10 @@ def query(index: FdeIndex, Q, k_candidates: int, final_k: int,
         raise ValueError(f"need 1 <= final_k <= k_candidates, got final_k={final_k}, k_candidates={k_candidates}")
     t0 = time.perf_counter()
     require_finite(as_matrix(Q), "query tokens")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected just below
+    with np.errstate(over="ignore", invalid="ignore"):  # mips_search rejects the overflow
         qvals = generate_query_fdes([Q], index.config)[0]
-    require_finite(qvals, "query encoding")
     t1 = time.perf_counter()
-    candidates = index.backend.search(qvals, k_candidates)
+    candidates = mips_search(index, qvals, k_candidates)
     t2 = time.perf_counter()
     rerank_q = ball_carve(Q, carve_tau).vectors if carve_tau is not None else Q
     ids = [doc_id for doc_id, _ in candidates]

@@ -9,8 +9,9 @@ Vocabulary used throughout:
   Queries missing from the qrels, or with an empty relevant set, are
   excluded from the mean and counted separately.
 * hit-rate against the exact Chamfer 1-nearest neighbor ("is the true
-  best document inside the top N?") is computed by one_recall_at_n; for
-  single-relevant-document qrels it coincides with Recall@N.
+  best document inside the top N?") is Recall@N against
+  oracle_qrels(chamfer_one_nn(...)), which marks one relevant document per
+  query.
 
 The drivers (grid search over encoding parameters, seed-variance study,
 candidates-to-threshold tables) operate on in-memory corpora and emit
@@ -65,20 +66,6 @@ def recall_at_n(run: Mapping, qrels: Mapping, n: int, fingerprint: str = "") -> 
     value = total / used if used else 0.0
     return RecallReport(metric="recall", n=n, value=value, num_queries=used,
                         num_skipped=skipped, fingerprint=fingerprint)
-
-
-def one_recall_at_n(run: Mapping, one_nn: Mapping, n: int, fingerprint: str = "") -> RecallReport:
-    """Fraction of queries whose exact Chamfer 1-NN appears in the top n."""
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    if not run:
-        raise ValueError("run is empty")
-    missing = [qid for qid in run if qid not in one_nn]
-    if missing:
-        raise ValueError(f"queries without a 1-NN entry: {missing[:5]}{'...' if len(missing) > 5 else ''}")
-    hits = sum(1 for qid, ranked in run.items() if one_nn[qid] in list(ranked)[:n])
-    return RecallReport(metric="one_recall", n=n, value=hits / len(run),
-                        num_queries=len(run), fingerprint=fingerprint)
 
 
 def oracle_qrels(one_nn: Mapping) -> dict:

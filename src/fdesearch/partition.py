@@ -51,7 +51,6 @@ class KMeansPartitioner:
     """Nearest-center assignment: R^d -> [len(centers)]."""
 
     centers: np.ndarray  # (B, d)
-    requested_b: int = 0
 
     @property
     def dim(self) -> int:
@@ -162,4 +161,4 @@ def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, l
 def kmeans_train(points, b: int, seed: int, rep: int = 0) -> KMeansPartitioner:
     """Train a nearest-center partitioner with B centers on the given points."""
     centers, _ = lloyd_kmeans(points, b, seed, rep=rep)
-    return KMeansPartitioner(centers=centers, requested_b=int(b))
+    return KMeansPartitioner(centers=centers)

@@ -101,20 +101,20 @@ def pq_encode_many(codebook: PqCodebook, V) -> np.ndarray:
     return codes
 
 
-def _check_codes(codebook: PqCodebook, codes: np.ndarray) -> np.ndarray:
+def check_code_matrix(codebook: PqCodebook, codes) -> np.ndarray:
+    """codes as an (n, groups) array; ValueError for another shape or an out-of-range code."""
     codes = np.asarray(codes)
-    if codes.shape[-1] != codebook.num_groups:
-        raise ValueError(f"expected {codebook.num_groups} code bytes per vector, got {codes.shape[-1]}")
-    flat = codes.reshape(-1, codebook.num_groups)
-    if np.any(flat >= codebook.effective_c[None, :]):
-        raise ValueError("code exceeds the effective number of centers for its group")
+    if codes.ndim != 2 or codes.shape[1] != codebook.num_groups:
+        raise ValueError(f"expected an (n, {codebook.num_groups}) code matrix, got shape {codes.shape}")
+    if np.any((codes < 0) | (codes >= codebook.effective_c)):
+        raise ValueError("code is negative or exceeds the effective number of centers for its group")
     return codes
 
 
 def pq_decode_many(codebook: PqCodebook, codes) -> np.ndarray:
-    """Reconstruct (n, dim) vectors from codes."""
-    flat = _check_codes(codebook, codes).reshape(-1, codebook.num_groups)
-    return codebook.centers[np.arange(codebook.num_groups), flat].reshape(flat.shape[0], codebook.dim)
+    """Reconstruct (n, dim) vectors from an (n, groups) code matrix."""
+    codes = check_code_matrix(codebook, codes)
+    return codebook.centers[np.arange(codebook.num_groups), codes].reshape(codes.shape[0], codebook.dim)
 
 
 def pq_table(codebook: PqCodebook, q) -> np.ndarray:
@@ -126,19 +126,6 @@ def pq_table(codebook: PqCodebook, q) -> np.ndarray:
     slices = qa.reshape(codebook.num_groups, g)
     # (groups, C): einsum keeps this one contraction rather than a python loop
     return np.einsum("gcd,gd->gc", codebook.centers, slices)
-
-
-def check_code_matrix(codebook: PqCodebook, codes) -> np.ndarray:
-    """codes as an (n, groups) array; ValueError for another shape or an out-of-range code."""
-    codes = _check_codes(codebook, codes)
-    if codes.ndim != 2:
-        raise ValueError(f"expected an (n, groups) code matrix, got shape {codes.shape}")
-    return codes
-
-
-def pq_asymmetric_dots_many(codebook: PqCodebook, codes_matrix, q) -> np.ndarray:
-    """Asymmetric dots of one query against many coded vectors."""
-    return pq_table_dots(pq_table(codebook, q), check_code_matrix(codebook, codes_matrix))
 
 
 def pq_table_dots(table: np.ndarray, codes: np.ndarray) -> np.ndarray:

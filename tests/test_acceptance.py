@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from fdesearch.chamfer import brute_force_topk, nchamfer
-from fdesearch.encoding import FdeConfig, fde_dim, generate_doc_fdes, generate_query_fde, generate_query_fdes, projection_matrix
-from fdesearch.engine import PqSpec, ball_carve, build_index, query
+from fdesearch.encoding import FdeConfig, fde_dim, generate_doc_fdes, generate_query_fdes, projection_matrix
+from fdesearch.engine import PqSpec, ball_carve, build_index, mips_search, query
 from fdesearch.evaluation import (
     candidates_to_threshold,
     chamfer_one_nn,
@@ -22,7 +22,7 @@ from fdesearch.evaluation import (
     recall_at_n,
     variance_study,
 )
-from fdesearch.pq import pq_asymmetric_dots_many, pq_decode_many
+from fdesearch.pq import pq_decode_many
 from fdesearch.synth import SynthSpec, generate_synthetic, matched_pair
 
 DEFAULT_CFG = FdeConfig(dim=32, k_sim=5, d_proj=8, r_reps=20, seed=0)  # 5120 dims
@@ -75,7 +75,7 @@ def one_sided_pairs():
         P = unit_rows(rng, mp, d)
         cfg = FdeConfig(dim=d, k_sim=k_sim, d_proj=None, r_reps=r_reps,
                         fill_empty=True, seed=trial)
-        fq = generate_query_fde(Q, cfg).values
+        fq = generate_query_fdes([Q], cfg)[0]
         fp = generate_doc_fdes([P], cfg)[0]
         records.append((Q, P, cfg, fq, fp))
     return records, time.perf_counter() - started
@@ -196,11 +196,13 @@ def test_criterion_07_pq_fidelity(default_data, default_index):
     bytes_ok = pq_index.payload_bytes_per_doc == dim // 8
 
     rng = np.random.default_rng(7)
+    decoded = pq_decode_many(pq_index.codebook, pq_index.codes)  # row i is doc id i
     max_err = 0.0
-    for _ in range(10):  # 10 queries x 1000 stored codes = 10,000 pairs
+    for _ in range(10):  # 10 queries x 1000 stored codes = 10,000 pairs, from the scan query() runs
         q = rng.standard_normal(dim)
-        fast = pq_asymmetric_dots_many(pq_index.codebook, pq_index.codes, q)
-        slow = pq_decode_many(pq_index.codebook, pq_index.codes) @ q
+        scanned = mips_search(pq_index, q, pq_index.num_docs)
+        ids, fast = np.array([d for d, _ in scanned]), np.array([s for _, s in scanned])
+        slow = decoded[ids] @ q
         max_err = max(max_err, float(np.max(np.abs(fast - slow))))
     dots_ok = max_err <= 1e-6
 

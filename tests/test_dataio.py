@@ -329,6 +329,19 @@ def index_files(tmp_path_factory, corpus_records):
     return files
 
 
+def test_kmeans_header_with_requested_b_reads_back(tmp_path, index_files):
+    # earlier versions stored the requested center count in the k-means section; it is ignored
+    header, payload = _split_index(index_files["kmeans"])
+    header["kmeans"]["requested_b"] = 7
+    (tmp_path / "old.mvix").write_bytes(_join_index(header, payload))
+    (tmp_path / "new.mvix").write_bytes(index_files["kmeans"])
+    old, new = read_index(tmp_path / "old.mvix"), read_index(tmp_path / "new.mvix")
+    assert old.fingerprint == new.fingerprint == header["fingerprint"]
+    for a, b in zip(old.config.kmeans_partitioners, new.config.kmeans_partitioners, strict=True):
+        assert same_bits(a.centers, b.centers)
+    assert same_bits(old.dense, new.dense)
+
+
 @pytest.mark.parametrize("corrupt", ["nan center", "inf center", "count 0", "count C+1"])
 def test_corrupt_pq_codebook_is_rejected(tmp_path, index_files, corrupt):
     header, payload = _split_index(index_files["pq"])
@@ -461,9 +474,8 @@ def random_indexes(draw):
                     fill_empty=draw(st.booleans()), seed=draw(st.integers(0, 2**31)))
     if kind == "kmeans":
         b = draw(st.integers(1, 4))
-        requested = draw(st.integers(b, 8))  # one value for every repetition: the header stores one
-        parts = tuple(KMeansPartitioner(centers=draw(arrays(np.float64, (b, dim), elements=finite)),
-                                        requested_b=requested) for _ in range(reps))
+        parts = tuple(KMeansPartitioner(centers=draw(arrays(np.float64, (b, dim), elements=finite)))
+                      for _ in range(reps))
         cfg = dataclasses.replace(cfg, partitioner="kmeans", kmeans_partitioners=parts)
     width = cfg.num_clusters * cfg.proj_dim * reps
     if width > 1 and draw(st.booleans()):
@@ -499,4 +511,4 @@ def test_index_files_round_trip_any_contents(index):
         assert same_bits(loaded.codebook.centers, index.codebook.centers)
         assert np.array_equal(loaded.codebook.effective_c, index.codebook.effective_c)
     for a, b in zip(loaded.config.kmeans_partitioners or (), index.config.kmeans_partitioners or ()):
-        assert same_bits(a.centers, b.centers) and a.requested_b == b.requested_b
+        assert same_bits(a.centers, b.centers)

@@ -12,11 +12,11 @@ from fdesearch import encoding, partition
 from fdesearch.chamfer import nchamfer
 from fdesearch.encoding import (
     FdeConfig,
+    _final_matrix,
+    _final_project,
     config_fingerprint,
     config_params,
     fde_dim,
-    final_project_many,
-    generate_doc_fde,
     generate_doc_fdes,
     generate_query_fde,
     generate_query_fdes,
@@ -84,7 +84,7 @@ def test_single_point_query_has_one_nonzero_block_equal_to_it():
     rng = np.random.default_rng(1)
     q = unit_rows(rng, 1, 6)
     out = generate_query_fde(q, cfg)
-    assert out.side == "query"
+    assert out.fingerprint == config_fingerprint(cfg)
     blocks = out.values.reshape(2, 6)
     nonzero = [k for k in range(2) if np.any(blocks[k] != 0)]
     assert len(nonzero) == 1
@@ -95,8 +95,8 @@ def test_query_block_is_the_sum_of_colliding_points():
     cfg = FdeConfig(dim=2, k_sim=1, r_reps=1)
     Q = np.array([[0.6, 0.8], [0.9, -0.2]])  # both on the positive side
     with with_hyperplanes([[1.0, 0.0]]):
-        out = generate_query_fde(Q, cfg)
-    blocks = out.values.reshape(2, 2)
+        out = generate_query_fdes([Q], cfg)[0]
+    blocks = out.reshape(2, 2)
     assert np.allclose(blocks[1], Q.sum(axis=0))
     assert np.allclose(blocks[0], 0.0)
 
@@ -105,8 +105,8 @@ def test_doc_block_is_the_average_not_the_sum():
     cfg = FdeConfig(dim=2, k_sim=1, r_reps=1, fill_empty=False)
     P = np.array([[0.6, 0.8], [0.9, -0.2]])
     with with_hyperplanes([[1.0, 0.0]]):
-        out = generate_doc_fde(P, cfg)
-    blocks = out.values.reshape(2, 2)
+        out = generate_doc_fdes([P], cfg)[0]
+    blocks = out.reshape(2, 2)
     assert np.allclose(blocks[1], P.mean(axis=0))
     assert np.allclose(blocks[0], 0.0)
 
@@ -115,7 +115,7 @@ def test_single_point_doc_fills_every_cluster():
     cfg = FdeConfig(dim=5, k_sim=2, r_reps=1, fill_empty=True, seed=9)
     rng = np.random.default_rng(2)
     p = unit_rows(rng, 1, 5)
-    blocks = generate_doc_fde(p, cfg).values.reshape(4, 5)
+    blocks = generate_doc_fdes([p], cfg)[0].reshape(4, 5)
     for k in range(4):
         assert np.array_equal(blocks[k], p[0])
 
@@ -125,7 +125,7 @@ def test_fill_empty_picks_fewest_disagreeing_bits():
     cfg = FdeConfig(dim=2, k_sim=2, r_reps=1, fill_empty=True)
     P = np.array([[0.6, 0.8], [-0.9, -0.1]])  # clusters 3 and 0
     with with_hyperplanes([[1.0, 0.0], [0.0, 1.0]]):
-        blocks = generate_doc_fde(P, cfg).values.reshape(4, 2)
+        blocks = generate_doc_fdes([P], cfg)[0].reshape(4, 2)
     assert np.allclose(blocks[3], P[0])
     assert np.allclose(blocks[0], P[1])
     # cluster 1 is one bit from 3 (P[0]) and one bit from 0 (P[1]); tie -> lowest token index
@@ -154,8 +154,8 @@ def test_dot_product_matches_partitioned_average_oracle():
         cfg = FdeConfig(dim=d, k_sim=3, r_reps=r_reps, fill_empty=False, seed=13)
         Q = unit_rows(rng, 4, d)
         P = unit_rows(rng, 6, d)
-        fq = generate_query_fde(Q, cfg).values
-        fp = generate_doc_fde(P, cfg).values
+        fq = generate_query_fdes([Q], cfg)[0]
+        fp = generate_doc_fdes([P], cfg)[0]
 
         per_rep = []
         for rep in range(r_reps):
@@ -204,16 +204,16 @@ def test_output_length_always_matches_fde_dim():
                 FdeConfig(dim=10, k_sim=3, d_proj=5, r_reps=3),
                 FdeConfig(dim=10, k_sim=4, d_proj=2, r_reps=2, d_final=40)):
         Q = unit_rows(rng, 4, 10)
-        assert generate_query_fde(Q, cfg).values.shape == (fde_dim(cfg),)
-        assert generate_doc_fde(Q, cfg).values.shape == (fde_dim(cfg),)
+        assert generate_query_fdes([Q], cfg).shape == (1, fde_dim(cfg))
+        assert generate_doc_fdes([Q], cfg).shape == (1, fde_dim(cfg))
 
 
 def test_generation_input_validation():
     cfg = FdeConfig(dim=4, k_sim=2, r_reps=1)
     with pytest.raises(ValueError):
-        generate_query_fde(np.empty((0, 4)), cfg)
+        generate_query_fdes([np.empty((0, 4))], cfg)
     with pytest.raises(ValueError):
-        generate_query_fde(np.ones((2, 5)), cfg)
+        generate_query_fdes([np.ones((2, 5))], cfg)
 
 
 def test_inner_project_identity_when_dims_match():
@@ -221,8 +221,8 @@ def test_inner_project_identity_when_dims_match():
     x = np.arange(6, dtype=float)
     assert projection_matrix(cfg, 0) is None
     # the encoder keeps the token's coordinates, as without d_proj
-    assert np.array_equal(generate_query_fde(x[None], cfg).values,
-                          generate_query_fde(x[None], dataclasses.replace(cfg, d_proj=None)).values)
+    assert np.array_equal(generate_query_fdes([x[None]], cfg),
+                          generate_query_fdes([x[None]], dataclasses.replace(cfg, d_proj=None)))
 
 
 def test_inner_project_zero_maps_to_zero():
@@ -253,19 +253,23 @@ def test_inner_projection_preserves_dot_products_on_average():
 
 
 def test_final_projection_basics():
-    assert np.array_equal(final_project_many([np.zeros(30)], 5, seed=0)[0], np.zeros(5))
-    v = np.arange(30, dtype=float)
-    assert np.array_equal(final_project_many([v], 5, seed=4)[0], final_project_many([v], 5, seed=4)[0])
+    assert np.array_equal(_final_project(np.zeros((1, 30)), _final_matrix(30, 5, seed=0)), np.zeros((1, 5)))
+    v = np.arange(30, dtype=float)[None]
+    assert np.array_equal(_final_project(v, _final_matrix(30, 5, seed=4)),
+                          _final_project(v, _final_matrix(30, 5, seed=4)))
     with pytest.raises(ValueError):
-        final_project_many([v], 30, seed=0)
+        _final_matrix(30, 30, seed=0)
 
 
 def test_final_projection_preserves_dot_products_on_average():
     rng = np.random.default_rng(10)
     v = rng.standard_normal(40)
     w = rng.standard_normal(40)
-    dots = np.asarray([float(final_project_many([v], 10, seed=s)[0] @ final_project_many([w], 10, seed=s)[0])
-                       for s in range(500)])
+    dots = []
+    for s in range(500):
+        S = _final_matrix(40, 10, seed=s)
+        dots.append(float(_final_project(v[None], S)[0] @ _final_project(w[None], S)[0]))
+    dots = np.asarray(dots)
     stderr = dots.std(ddof=1) / np.sqrt(len(dots))
     assert abs(dots.mean() - float(v @ w)) <= 3 * stderr
 
@@ -295,12 +299,12 @@ def test_kmeans_partitioned_encoding():
     Q = unit_rows(rng, 3, 8)
     P = unit_rows(rng, 5, 8)
     fq = generate_query_fde(Q, cfg)
-    fp = generate_doc_fde(P, cfg)
+    fp = generate_doc_fdes([P], cfg)[0]
     assert fq.values.shape == (64,)
-    assert np.all(np.isfinite(fp.values))
-    assert fq.fingerprint == fp.fingerprint
+    assert np.all(np.isfinite(fp))
+    assert fq.fingerprint == build_index([P], cfg).fingerprint
     # kmeans fill: every block of a one-point document equals that point
-    single = generate_doc_fde(P[:1], cfg).values.reshape(2 * 4, 8)
+    single = generate_doc_fdes([P[:1]], cfg)[0].reshape(2 * 4, 8)
     for block in single:
         assert np.allclose(block * np.sqrt(2), P[0])
 
@@ -322,7 +326,7 @@ def test_fill_empty_matches_scalar_hamming_oracle():
         cfg = FdeConfig(dim=6, k_sim=k_sim, r_reps=1, seed=trial)
         P = unit_rows(rng, int(rng.integers(1, 6)), 6)
         idx = assign_many(partitioner_for_rep(cfg, 0), P)
-        blocks = generate_doc_fde(P, cfg).values.reshape(1 << k_sim, 6)
+        blocks = generate_doc_fdes([P], cfg)[0].reshape(1 << k_sim, 6)
         for cluster in set(range(1 << k_sim)) - set(idx.tolist()):
             nearest = min(range(len(P)), key=lambda i: ((int(idx[i]) ^ cluster).bit_count(), i))
             assert np.array_equal(blocks[cluster], P[nearest])
@@ -438,7 +442,7 @@ def per_document_oracle(matrices, side, config):
             out[j, base:base + b * t] = acc.ravel()
     out *= 1.0 / np.sqrt(r)
     if config.d_final is not None:
-        out = final_project_many(out, config.d_final, config.seed)
+        out = _final_project(out, _final_matrix(out.shape[1], config.d_final, config.seed))
     return out
 
 

@@ -268,7 +268,7 @@ def test_query_rejects_non_finite_tokens_and_encodings(small_dataset, bad):
     Q[0, 0] = bad
     with pytest.raises(ValueError):
         query(index, Q, k_candidates=5, final_k=5)
-    qvals = generate_query_fde(queries[0], CFG).values.copy()
+    qvals = generate_query_fdes([queries[0]], CFG)[0]
     qvals[7] = bad
     with pytest.raises(ValueError):
         mips_search(index, qvals, 5)
@@ -278,7 +278,7 @@ def test_query_rejects_an_encoding_that_overflows(small_dataset):
     corpus, _, _ = small_dataset
     index = build_index(corpus, CFG)
     Q = np.full((4, 32), 1e308)  # finite tokens whose cluster sum overflows
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="query encoding"):
         query(index, Q, k_candidates=5, final_k=5)
 
 
@@ -297,7 +297,7 @@ def test_huge_query_raises_only_value_error(small_dataset):
     index = build_index(corpus, CFG)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="query encoding"):
             query(index, np.full((4, 32), 1e308), k_candidates=5, final_k=5)
 
 
@@ -335,10 +335,17 @@ def test_build_errors_name_the_doc_id(small_dataset):
 def test_index_rejects_out_of_range_codes_at_construction(small_dataset):
     corpus, queries, _ = small_dataset
     index = build_index(corpus, CFG, pq=PqSpec(c=4, g=8))
-    FdeIndex(index.doc_ids, CFG, codebook=index.codebook, codes=index.codes)
-    bad = index.codes.copy()
-    bad[7, 3] = index.codebook.effective_c[3]
-    with pytest.raises(ValueError):
-        FdeIndex(index.doc_ids, CFG, codebook=index.codebook, codes=bad)
-    with pytest.raises(ValueError):
-        FdeIndex(index.doc_ids, CFG, codebook=index.codebook, codes=index.codes[:, :-1])
+    book, codes = index.codebook, index.codes
+    FdeIndex(index.doc_ids, CFG, codebook=book, codes=codes)
+    out_of_range = codes.copy()
+    out_of_range[7, 3] = book.effective_c[3]
+    negative = codes.astype(np.int16)
+    negative[7, 3] = -1
+    # 1-D codes, the wrong width, out-of-range codes; the 1-D index codes hold one code per document
+    # (so the row count matches), the decoder's one per group (one vector's codes)
+    for index_codes, decode_codes in [(codes[:, 0], codes[0]), (codes[:, :-1], codes[:, :-1]),
+                                      (out_of_range, out_of_range), (negative, negative)]:
+        with pytest.raises(ValueError):
+            FdeIndex(index.doc_ids, CFG, codebook=book, codes=index_codes)
+        with pytest.raises(ValueError, match="code"):
+            pq_decode_many(book, decode_codes)

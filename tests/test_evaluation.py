@@ -8,7 +8,6 @@ from fdesearch.evaluation import (
     default_schedule,
     fde_rankings,
     grid_search,
-    one_recall_at_n,
     oracle_qrels,
     recall_at_n,
     reports_to_jsonl,
@@ -77,13 +76,13 @@ def test_one_recall_full_depth_is_always_one(tiny_dataset):
     cfg = FdeConfig(dim=16, k_sim=3, d_proj=4, r_reps=2, seed=0)
     run = fde_rankings(corpus, qmats, cfg, query_ids=qids)
     one_nn = chamfer_one_nn(qmats, corpus, query_ids=qids)
-    assert one_recall_at_n(run, one_nn, len(corpus)).value == 1.0
+    assert recall_at_n(run, oracle_qrels(one_nn), len(corpus)).value == 1.0
 
 
 def test_one_recall_at_one_for_identical_rankings():
     one_nn = {0: 4, 1: 2}
     run = {0: [4, 1], 1: [2, 9]}
-    assert one_recall_at_n(run, one_nn, 1).value == 1.0
+    assert recall_at_n(run, oracle_qrels(one_nn), 1).value == 1.0
 
 
 def test_one_recall_matches_argmax_agreement_count(tiny_dataset):
@@ -92,12 +91,7 @@ def test_one_recall_matches_argmax_agreement_count(tiny_dataset):
     run = fde_rankings(corpus, qmats, cfg, query_ids=qids)
     one_nn = chamfer_one_nn(qmats, corpus, query_ids=qids)
     agreements = sum(1 for q in qids if run[q][0] == one_nn[q])
-    assert one_recall_at_n(run, one_nn, 1).value == pytest.approx(agreements / len(qids))
-
-
-def test_one_recall_rejects_unknown_queries():
-    with pytest.raises(ValueError):
-        one_recall_at_n({0: [1], 5: [2]}, {0: 1}, 1)
+    assert recall_at_n(run, oracle_qrels(one_nn), 1).value == pytest.approx(agreements / len(qids))
 
 
 def test_single_config_grid(tiny_dataset):

@@ -143,7 +143,6 @@ def test_kmeans_reduces_b_to_distinct_points():
     points = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     part = kmeans_train(points, 5, seed=0)
     assert part.num_clusters == 2
-    assert part.requested_b == 5
 
 
 def test_kmeans_rejects_empty_input():

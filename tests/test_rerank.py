@@ -150,6 +150,25 @@ def test_query_equals_a_per_candidate_chamfer_composition(served, wide, tau):
             assert res.ranking == query(index, Q, kc, fk, carve_tau=tau).ranking
 
 
+def test_rerank_skips_the_screen_when_it_keeps_every_candidate(served):
+    corpus, queries = served
+    tokens = TokenCorpus(corpus)
+    rows = np.arange(0, len(corpus), 7)
+    ids = rows * 3 + 1
+    cfg = FdeConfig(dim=corpus[0].shape[1], k_sim=3, d_proj=8, r_reps=4, seed=3)
+    index = build_index(corpus, cfg)
+    with mock.patch.object(chamfer_module, "_screen", side_effect=AssertionError("screened")) as screen:
+        for Q in queries:
+            for k in (len(rows), len(rows) + 3):
+                want = by_chamfer(Q, [corpus[r] for r in rows], ids, k)
+                assert hexed(chamfer_top_k(Q, tokens, rows, ids, k)) == hexed(want)
+            rq = ball_carve(Q, 0.7).vectors
+            cands = [d for d, _ in mips_search(index, generate_query_fdes([Q], cfg)[0], 10)]
+            assert hexed(query(index, Q, 10, 10, carve_tau=0.7).ranking) == \
+                hexed(by_chamfer(rq, [corpus[d] for d in cands], cands, 10))
+    screen.assert_not_called()
+
+
 def test_attached_float32_corpus_is_held_once_in_float32(served):
     corpus, _ = served
     cfg = FdeConfig(dim=corpus[0].shape[1], k_sim=3, d_proj=8, r_reps=2)
