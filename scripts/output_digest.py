@@ -17,12 +17,13 @@ fde_rankings, query() rankings (ids and scores, every query), also with
 k_candidates = final_k (every candidate is kept), with
 the rerank corpus replaced by a float64 copy that is not float32-exact
 and on an index of a corpus whose odd documents repeat the even ones
-(exact ties in scan and rerank), chamfer_one_nn of the first queries
-over the whole corpus, PQ centers
-and decode, Lloyd's MSE history (which decides when training stops) for
-four PQ groups, a PQ codebook trained on a duplicate-heavy sample (fewer
-distinct slices than centers) with the codes it gives, a k-means config
-(centers, doc and query encodings, rankings),
+(exact ties in scan and rerank; on a PQ workload also with a PQ index of
+that corpus), chamfer_one_nn of the first queries over the whole corpus,
+PQ centers, decode and the candidate ids and asymmetric dots that
+mips_search returns for every query, Lloyd's MSE history (which decides
+when training stops) for four PQ groups, a PQ codebook trained on a
+duplicate-heavy sample (fewer distinct slices than centers) with the codes
+it gives, a k-means config (centers, doc and query encodings, rankings),
 and sv_candidates with dedup on and off followed by the exact rerank.
 top_k is also covered at its edges: fde_rankings at depth 1 and
 depth=None (every document), and sv_candidates at k_per_query 1 and past
@@ -108,6 +109,7 @@ def main() -> int:
         emit("pq.centers", index.codebook.centers)
         emit("pq.effective_c", index.codebook.effective_c)
         emit("pq.decode", pq_decode_many(index.codebook, index.codes))
+        emit("mips.pq", [fs.mips_search(index, qv, wl.k_candidates) for qv in fs.generate_query_fdes(queries, cfg)])
         fdes = fs.generate_doc_fdes(corpus, cfg).astype(np.float32).astype(np.float64)  # what PQ trains on
         g, groups = wl.pq.g, index.codebook.num_groups
         for grp in (0, 1, groups // 2, groups - 1):
@@ -129,6 +131,11 @@ def main() -> int:
     emit("query.duplicate_docs", [fs.query(twins, Q, wl.k_candidates, wl.final_k, wl.carve_tau).ranking
                                   for Q in queries])
     del twins
+    if wl.pq is not None:
+        twins = fs.build_index([corpus[i - i % 2] for i in range(len(corpus))], cfg, pq=wl.pq)
+        emit("query.duplicate_docs.pq", [fs.query(twins, Q, wl.k_candidates, wl.final_k, wl.carve_tau).ranking
+                                         for Q in queries])
+        del twins
     emit("query_fdes", fs.generate_query_fdes(queries, cfg))
     emit("query_fdes.d_final=256", fs.generate_query_fdes(queries, dataclasses.replace(cfg, d_final=256)))
     emit("query_fdes.one_by_one", [fs.generate_query_fdes([Q], cfg)[0] for Q in queries])

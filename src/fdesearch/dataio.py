@@ -7,7 +7,8 @@
   (encoding config, fingerprint, storage kind, shapes), doc ids as u64,
   optional k-means partition centers (f64), then the payload: dense f32
   encodings, or a PQ codebook (f64 centers + u16 effective center counts)
-  followed by u8 codes.
+  followed by u8 codes, one row of num_groups bytes per document (read
+  into the group-major layout of pq.py).
 * qrels: tab-separated ``query_id<TAB>doc_id<TAB>grade`` lines.
 * run: tab-separated ``query_id<TAB>doc_id<TAB>rank<TAB>score`` lines;
   ``#`` lines carry the resolved configuration that produced the run.
@@ -50,14 +51,18 @@ class _Reader:
         self.off = 0
         self.path = str(path)
 
-    def take(self, n: int, what: str) -> bytes:
+    def _advance(self, n: int, what: str) -> int:
+        """Offset of the next n bytes, which are consumed."""
         if self.off + n > len(self.buf):
             raise ValueError(
                 f"{self.path}: truncated file reading {what}: need {n} bytes at offset "
                 f"{self.off}, only {len(self.buf) - self.off} remain")
-        out = self.buf[self.off:self.off + n]
         self.off += n
-        return out
+        return self.off - n
+
+    def take(self, n: int, what: str) -> bytes:
+        start = self._advance(n, what)
+        return self.buf[start:start + n]
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
@@ -65,10 +70,13 @@ class _Reader:
     def u64(self, what: str) -> int:
         return struct.unpack("<Q", self.take(8, what))[0]
 
-    def array(self, dtype: str, count: int, what: str) -> np.ndarray:
+    def view(self, dtype: str, count: int, what: str) -> np.ndarray:
+        """The next count values as a read-only array over the file buffer."""
         dt = np.dtype(dtype)
-        raw = self.take(dt.itemsize * count, what)
-        return np.frombuffer(raw, dtype=dt).copy()
+        return np.frombuffer(self.buf, dtype=dt, count=count, offset=self._advance(dt.itemsize * count, what))
+
+    def array(self, dtype: str, count: int, what: str) -> np.ndarray:
+        return self.view(dtype, count, what).copy()
 
     def expect_magic(self, magic: bytes) -> None:
         got = self.take(len(magic), "magic")
@@ -330,7 +338,8 @@ def read_index(path, corpus_records: Sequence | None = None) -> FdeIndex:
                              f"does not fit fde_dim={dim} with one-byte codes")
         effective = rd.array("<u2", groups, "effective center counts").astype(np.int64)
         centers = rd.array("<f8", groups * c * g, "codebook").reshape(groups, c, g)
-        codes = rd.array("u1", num_docs * groups, "codes").reshape(num_docs, groups)
+        # the one copy of the (n, groups) row-major codes is group-major, (groups, n) C-contiguous
+        codes = rd.view("u1", num_docs * groups, "codes").reshape(num_docs, groups).T.copy().T
         codebook = PqCodebook(centers=centers, effective_c=effective)
         index = FdeIndex(doc_ids, config, codebook=codebook, codes=codes)
     rd.done()

@@ -33,7 +33,7 @@ import numpy as np
 
 from .chamfer import TokenCorpus, chamfer_top_k
 from .encoding import Fde, FdeConfig, _encode_stacked, config_fingerprint, fde_dim, generate_query_fdes
-from .pq import PqCodebook, check_code_matrix, pq_encode_many, pq_table, pq_table_dots, pq_train
+from .pq import PqCodebook, check_code_matrix, pq_encode_many, pq_table_dots, pq_train
 from .util import as_matrices, as_matrix, require_finite, shortlist, top_k
 
 DEFAULT_CARVE_TAU = 0.7  # recall is flat above this threshold; rerank cost is not
@@ -121,16 +121,20 @@ class PqScanBackend:
     """MIPS over product-quantized encodings via asymmetric dots.
 
     The codes are checked once here (ValueError for a wrong shape or an
-    out-of-range code), not on every query.
+    out-of-range code), not on every query, and held group-major:
+    ``codes`` is the (n, groups) transpose view of one C-contiguous
+    (groups, n) uint8 matrix, copied only when the input is not already
+    that view. A query scans only the groups where it is nonzero
+    (pq.pq_table_dots).
     """
 
     def __init__(self, doc_ids: np.ndarray, codebook: PqCodebook, codes: np.ndarray):
         self.doc_ids = doc_ids
         self.codebook = codebook
-        self.codes = check_code_matrix(codebook, codes)
+        self.codes = np.ascontiguousarray(check_code_matrix(codebook, codes).T, dtype=np.uint8).T
 
     def search(self, query_values: np.ndarray, k: int):
-        dots = pq_table_dots(pq_table(self.codebook, query_values), self.codes)
+        dots = pq_table_dots(self.codebook, query_values, self.codes)
         return _top_by_dot(self.doc_ids, dots, k)
 
 
@@ -153,6 +157,9 @@ class FdeIndex:
             raise ValueError("index stores either dense encodings or codes+codebook, exactly one")
         if codebook is not None and (codes is None or codes.shape[0] != len(self.doc_ids)):
             raise ValueError("compressed index needs one code row per document")
+        if codebook is not None and codebook.dim != fde_dim(config):
+            raise ValueError(f"codebook dimension {codebook.dim} does not match fde_dim={fde_dim(config)} "
+                             "of the config")
         if dense is not None:
             want = (len(self.doc_ids), fde_dim(config))
             if not isinstance(dense, np.ndarray) or dense.dtype != np.float32 or dense.shape != want:
@@ -160,15 +167,16 @@ class FdeIndex:
                 raise ValueError(f"dense encodings must be a float32 array of shape {want}, got {got}")
         self.dense = dense
         self.codebook = codebook
-        self.codes = codes
         self.corpus = None
         if corpus is not None:
             self.attach_corpus(corpus)
         self._pos = {int(d): i for i, d in enumerate(self.doc_ids)}
         if self.dense is not None:
             self.backend = ExactScanBackend(self.doc_ids, self.dense)
+            self.codes = None
         else:
-            self.backend = PqScanBackend(self.doc_ids, self.codebook, self.codes)
+            self.backend = PqScanBackend(self.doc_ids, self.codebook, codes)
+            self.codes = self.backend.codes  # the group-major matrix the scan holds, seen (n, groups)
 
     @property
     def num_docs(self) -> int:

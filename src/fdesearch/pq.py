@@ -10,6 +10,19 @@ d/8 bytes, a 32x reduction over 4-byte floats.
 
 Training runs k-means per group on one shared seeded sample of at most
 100,000 vectors, sliced per group.
+
+Codes are held group-major: one C-contiguous (groups, n) uint8 matrix, so
+a group's codes for every vector are one contiguous row. The public code
+matrix is its (n, groups) transpose view; the index file stores the
+(n, groups) row-major bytes and is transposed once on reading.
+
+Scanning (pq_table_dots) computes table rows, with the einsum of
+pq_table, only for the groups where the query is nonzero, and adds them
+to a running sum one group at a time in ascending group order:
+acc += row[codes of the group]. Skipping the zero groups is exact. A zero
+query slice gives a table row of +-0.0, and adding +-0.0 leaves the sum
+unchanged, since it starts at +0.0 and so is never -0.0. The dots equal,
+bit for bit, that sequential sum over all groups.
 """
 
 from __future__ import annotations
@@ -89,16 +102,17 @@ def pq_train(vectors, c: int = 256, g: int = 8, seed: int = 0) -> PqCodebook:
 
 
 def pq_encode_many(codebook: PqCodebook, V) -> np.ndarray:
-    """Encode rows of V; returns (n, num_groups) uint8 codes."""
+    """Encode rows of V; returns (n, num_groups) uint8 codes, the transpose
+    view of a group-major (num_groups, n) matrix."""
     Va = as_matrix(V)
     if Va.shape[1] != codebook.dim:
         raise ValueError(f"dimension mismatch: vectors have d={Va.shape[1]}, codebook expects {codebook.dim}")
     g = codebook.group_dim
-    codes = np.empty((Va.shape[0], codebook.num_groups), dtype=np.uint8)
+    codes = np.empty((codebook.num_groups, Va.shape[0]), dtype=np.uint8)
     for grp in range(codebook.num_groups):
         cc = codebook.centers[grp, :codebook.effective_c[grp]]
-        codes[:, grp] = np.argmin(sq_dists(Va[:, grp * g:(grp + 1) * g], cc), axis=1)  # ties -> lowest center
-    return codes
+        codes[grp] = np.argmin(sq_dists(Va[:, grp * g:(grp + 1) * g], cc), axis=1)  # ties -> lowest center
+    return codes.T
 
 
 def check_code_matrix(codebook: PqCodebook, codes) -> np.ndarray:
@@ -106,6 +120,8 @@ def check_code_matrix(codebook: PqCodebook, codes) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[1] != codebook.num_groups:
         raise ValueError(f"expected an (n, {codebook.num_groups}) code matrix, got shape {codes.shape}")
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
     if np.any((codes < 0) | (codes >= codebook.effective_c)):
         raise ValueError("code is negative or exceeds the effective number of centers for its group")
     return codes
@@ -117,23 +133,37 @@ def pq_decode_many(codebook: PqCodebook, codes) -> np.ndarray:
     return codebook.centers[np.arange(codebook.num_groups), codes].reshape(codes.shape[0], codebook.dim)
 
 
-def pq_table(codebook: PqCodebook, q) -> np.ndarray:
-    """Per-query lookup table of group x center partial dot products."""
+def _query_slices(codebook: PqCodebook, q) -> np.ndarray:
     qa = np.asarray(q, dtype=np.float64)
     if qa.ndim != 1 or qa.shape[0] != codebook.dim:
         raise ValueError(f"expected a query of dimension {codebook.dim}, got shape {qa.shape}")
-    g = codebook.group_dim
-    slices = qa.reshape(codebook.num_groups, g)
-    # (groups, C): einsum keeps this one contraction rather than a python loop
-    return np.einsum("gcd,gd->gc", codebook.centers, slices)
+    return qa.reshape(codebook.num_groups, codebook.group_dim)
 
 
-def pq_table_dots(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Per code row, the sum of the table entries its codes pick.
+def _table_rows(centers: np.ndarray, slices: np.ndarray) -> np.ndarray:
+    # (groups, C): einsum keeps this one contraction rather than a python loop. pq_table and the scan
+    # share it, so a scanned row is bit for bit pq_table's row (a matmul rounds differently).
+    return np.einsum("gcd,gd->gc", centers, slices)
 
-    codes must already have passed check_code_matrix. The lookup is one take
-    on the flat table at int32 offsets, so no widened copy of the codes is
-    made.
+
+def pq_table(codebook: PqCodebook, q) -> np.ndarray:
+    """Per-query lookup table of group x center partial dot products."""
+    return _table_rows(codebook.centers, _query_slices(codebook, q))
+
+
+def pq_table_dots(codebook: PqCodebook, q, codes: np.ndarray) -> np.ndarray:
+    """Asymmetric dot of q with every row of an (n, groups) code matrix.
+
+    codes must already have passed check_code_matrix. Only the groups where
+    q is nonzero are looked up, each adding its table row's entries to the
+    running sum in ascending group order (see the module docstring). The
+    scan reads contiguous rows when codes is the transpose view of a
+    group-major matrix, as pq_encode_many returns.
     """
-    offsets = np.arange(table.shape[0], dtype=np.int32) * np.int32(table.shape[1])
-    return table.ravel().take(np.add(codes, offsets, dtype=np.int32)).sum(axis=1)
+    slices = _query_slices(codebook, q)
+    nonzero = np.flatnonzero(slices.any(axis=1))
+    by_group = codes.T
+    acc = np.zeros(codes.shape[0])
+    for grp, row in zip(nonzero, _table_rows(codebook.centers[nonzero], slices[nonzero])):
+        acc += row.take(by_group[grp])
+    return acc

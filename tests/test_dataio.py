@@ -186,6 +186,47 @@ def test_dense_index_round_trip(tmp_path, corpus_records):
     assert path3.read_bytes() == path.read_bytes()
 
 
+ROW_MAJOR_PQ_FILE = Path(__file__).parent / "data" / "pq_row_major_v1.mvix"
+
+
+def explicit_pq_index() -> FdeIndex:
+    """A PQ index of small integer-derived arrays, no training, so its file bytes are the same on every platform.
+
+    tests/data/pq_row_major_v1.mvix is this index as written by the writer that held the codes
+    row-major, (n, groups) C-contiguous, before the group-major layout.
+    """
+    cfg = FdeConfig(dim=4, k_sim=1, d_proj=4, r_reps=2, seed=3)  # fde_dim 16
+    groups, c, g, n = 4, 3, 4, 6
+    centers = ((np.arange(groups * c * g) % 7 - 3) / 4.0).reshape(groups, c, g)
+    effective = np.array([3, 2, 3, 1])
+    codes = (np.arange(n)[:, None] * 5 + np.arange(groups)) % effective
+    return FdeIndex([10, 3, 7, 42, 5, 8], cfg, codebook=PqCodebook(centers=centers, effective_c=effective),
+                    codes=codes.astype(np.uint8))
+
+
+def test_group_major_pq_index_writes_the_row_major_file_bytes(tmp_path):
+    index = explicit_pq_index()
+    assert index.codes.T.flags.c_contiguous
+    write_index(tmp_path / "pq.mvix", index)
+    assert (tmp_path / "pq.mvix").read_bytes() == ROW_MAJOR_PQ_FILE.read_bytes()
+
+
+def test_pq_index_read_from_a_row_major_file_ranks_identically():
+    rng = np.random.default_rng(12)
+    records = [(int(i), unit_rows(rng, 3, 4)) for i in [10, 3, 7, 42, 5, 8]]
+    in_memory = explicit_pq_index()
+    in_memory.attach_corpus([m for _, m in records])
+    loaded = read_index(ROW_MAJOR_PQ_FILE, corpus_records=records)
+    assert loaded.codes.T.flags.c_contiguous and loaded.codes.T.flags.writeable  # its own group-major copy
+    assert np.array_equal(loaded.codes, in_memory.codes)
+    for _ in range(20):
+        q = rng.standard_normal((4, 4))
+        q[rng.random(4) < 0.5] = 0.0  # zero groups, skipped by the scan
+        assert mips_search(loaded, q.ravel(), 6) == mips_search(in_memory, q.ravel(), 6)
+        Q = unit_rows(rng, 2, 4)
+        assert query(loaded, Q, 6, 3).ranking == query(in_memory, Q, 6, 3).ranking
+
+
 def test_pq_index_round_trip(tmp_path, corpus_records):
     cfg = FdeConfig(dim=16, k_sim=3, d_proj=4, r_reps=4, seed=2)  # 128 dims
     index = build_index([m for _, m in corpus_records], cfg, pq=PqSpec(c=16, g=4))

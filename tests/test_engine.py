@@ -4,7 +4,7 @@ import pytest
 from fdesearch.chamfer import brute_force_topk, chamfer
 from fdesearch.encoding import FdeConfig, fde_dim, generate_query_fde, generate_query_fdes
 from fdesearch.engine import FdeIndex, PqSpec, ball_carve, batch_query, build_index, mips_search, query
-from fdesearch.pq import pq_decode_many
+from fdesearch.pq import PqCodebook, pq_decode_many
 from fdesearch.synth import SynthSpec, generate_synthetic
 
 
@@ -341,11 +341,35 @@ def test_index_rejects_out_of_range_codes_at_construction(small_dataset):
     out_of_range[7, 3] = book.effective_c[3]
     negative = codes.astype(np.int16)
     negative[7, 3] = -1
+    fractional = codes + 0.5  # in range, but not a code: truncating it to uint8 would be silent garbage
     # 1-D codes, the wrong width, out-of-range codes; the 1-D index codes hold one code per document
     # (so the row count matches), the decoder's one per group (one vector's codes)
     for index_codes, decode_codes in [(codes[:, 0], codes[0]), (codes[:, :-1], codes[:, :-1]),
-                                      (out_of_range, out_of_range), (negative, negative)]:
+                                      (out_of_range, out_of_range), (negative, negative),
+                                      (fractional, fractional)]:
         with pytest.raises(ValueError):
             FdeIndex(index.doc_ids, CFG, codebook=book, codes=index_codes)
         with pytest.raises(ValueError, match="code"):
             pq_decode_many(book, decode_codes)
+
+
+def test_index_rejects_a_codebook_of_another_dimension_at_construction():
+    cfg = FdeConfig(dim=8, k_sim=2, r_reps=2)
+    assert fde_dim(cfg) == 64
+    book = PqCodebook(centers=np.zeros((2, 4, 8)), effective_c=np.ones(2, dtype=np.int64))  # 16 dims
+    with pytest.raises(ValueError, match="codebook dimension 16"):
+        FdeIndex([0, 1, 2], cfg, codebook=book, codes=np.zeros((3, 2), dtype=np.uint8))
+
+
+def test_pq_index_holds_its_codes_once_group_major(small_dataset):
+    corpus, queries, _ = small_dataset
+    index = build_index(corpus, CFG, pq=PqSpec(c=4, g=8))
+    assert index.codes.T.flags.c_contiguous
+    assert index.codes is index.backend.codes
+    again = FdeIndex(index.doc_ids, CFG, codebook=index.codebook, codes=index.codes)
+    assert np.shares_memory(again.codes, index.codes)  # already group-major: no copy
+    row_major = FdeIndex(index.doc_ids, CFG, codebook=index.codebook, codes=np.ascontiguousarray(index.codes))
+    assert row_major.codes.T.flags.c_contiguous and np.array_equal(row_major.codes, index.codes)
+    for Q in queries[:4]:
+        assert mips_search(row_major, generate_query_fdes([Q], CFG)[0], 20) == \
+            mips_search(index, generate_query_fdes([Q], CFG)[0], 20)

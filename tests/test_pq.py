@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fdesearch.pq import (
+    PqCodebook,
     pq_decode_many,
     pq_encode_many,
     pq_table,
@@ -93,9 +97,9 @@ def test_asymmetric_dot_equals_decode_then_dot():
         q = rng.standard_normal(16)
         i = int(rng.integers(0, 200))
         expected = float(q @ pq_decode_many(book, [codes[i]])[0])
-        assert pq_table_dots(pq_table(book, q), codes[i:i + 1])[0] == pytest.approx(expected, abs=1e-6)
+        assert pq_table_dots(book, q, codes[i:i + 1])[0] == pytest.approx(expected, abs=1e-6)
     q = rng.standard_normal(16)
-    batch = pq_table_dots(pq_table(book, q), codes)
+    batch = pq_table_dots(book, q, codes)
     assert np.allclose(batch, pq_decode_many(book, codes) @ q, atol=1e-6)
 
 
@@ -104,7 +108,7 @@ def test_zero_query_gives_zero_dot():
     vectors = rng.standard_normal((50, 8))
     book = pq_train(vectors, c=4, g=4, seed=0)
     codes = pq_encode_many(book, [vectors[0]])[0]
-    assert pq_table_dots(pq_table(book, np.zeros(8)), codes[None])[0] == 0.0
+    assert pq_table_dots(book, np.zeros(8), codes[None])[0] == 0.0
 
 
 def test_out_of_range_code_is_rejected():
@@ -128,3 +132,52 @@ def test_effective_centers_reduce_with_few_distinct_slices():
     assert book.effective_c[0] == 2
     codes = pq_encode_many(book, rows)
     assert np.all(codes < 2)
+
+
+def test_codes_are_encoded_group_major():
+    rng = np.random.default_rng(11)
+    vectors = rng.standard_normal((30, 12))
+    book = pq_train(vectors, c=4, g=3, seed=0)
+    codes = pq_encode_many(book, vectors)
+    assert codes.shape == (30, 4) and codes.dtype == np.uint8
+    assert codes.T.flags.c_contiguous  # one (groups, n) matrix, seen transposed
+
+
+@st.composite
+def scans(draw):
+    """A random codebook, group-major codes with repeated columns, and a query zero in random groups."""
+    groups, c, g, n = (draw(st.integers(1, hi)) for hi in (40, 8, 4, 12))
+    # values from a drawn seed rather than hypothesis floats, which favour round numbers that sum exactly
+    # in any order and so would not tell a sequential sum from another
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = draw(arrays(np.int64, groups, elements=st.integers(1, c)))
+    book = PqCodebook(centers=rng.standard_normal((groups, c, g)) * 10, effective_c=counts)
+    codes = np.stack([draw(arrays(np.uint8, n, elements=st.integers(0, int(e) - 1))) for e in counts])
+    twins = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    codes = np.ascontiguousarray(np.concatenate([codes, codes[:, twins]], axis=1))  # (groups, n + twins)
+    q = rng.standard_normal((groups, g)) * 10
+    q[draw(arrays(np.bool_, groups))] = draw(st.sampled_from([0.0, -0.0]))
+    return book, codes.T, q.ravel(), twins
+
+
+def sequential_dots(book, q, codes):
+    """Every group's table row added in ascending group order, zero groups included."""
+    table = pq_table(book, q)
+    acc = np.zeros(codes.shape[0])
+    for grp in range(book.num_groups):
+        acc += table[grp][codes[:, grp]]
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(scans())
+def test_zero_group_skip_is_exact(scan):
+    book, codes, q, twins = scan
+    dots = pq_table_dots(book, q, codes)
+    assert dots.dtype == np.float64 and dots.tobytes() == sequential_dots(book, q, codes).tobytes()
+    assert np.all(np.abs(dots - pq_decode_many(book, codes) @ q) <= 1e-6)  # criterion 07
+    n = codes.shape[0] - len(twins)
+    for j, i in enumerate(twins):  # identical code rows tie exactly
+        assert dots[n + j].tobytes() == dots[i].tobytes()
+    zero = pq_table_dots(book, np.zeros_like(q), codes)
+    assert zero.tobytes() == np.zeros(codes.shape[0]).tobytes()  # +0.0, not -0.0
