@@ -27,7 +27,9 @@ it gives, a k-means config (centers, doc and query encodings, rankings),
 and sv_candidates with dedup on and off followed by the exact rerank.
 top_k is also covered at its edges: fde_rankings at depth 1 and
 depth=None (every document), and sv_candidates at k_per_query 1 and past
-the token count.
+the token count; and on its own, over a seeded matrix of rounded scores
+(ties) with NaN and +-inf whose length no 8k divides, also with one row
+all NaN (the full-sort fallback).
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ def main() -> int:
     import fdesearch as fs
     from fdesearch.partition import lloyd_kmeans
     from fdesearch.pq import pq_decode_many, pq_encode_many, pq_train
+    from fdesearch.util import top_k
     from workloads import WORKLOADS, make_inputs
 
     wl = WORKLOADS[args.workload]
@@ -86,6 +89,14 @@ def main() -> int:
         print(f"{wl.name} seed={args.seed} {name} {digest(value)}", flush=True)
 
     emit("chamfer_one_nn", list(fs.chamfer_one_nn(queries[:8], corpus).items()))
+    rng = np.random.default_rng(args.seed)
+    scores = np.round(rng.standard_normal((6, 5003)), 1)
+    for value in (np.nan, np.inf, -np.inf):
+        scores[rng.random(scores.shape) < 0.01] = value
+    ids = rng.integers(0, 50, scores.shape[1])
+    for k in (1, 125, 400):
+        emit(f"top_k.k={k}", top_k(ids, scores, k))
+        emit(f"top_k.k={k}.nan_row", top_k(ids, np.vstack([scores, np.full(scores.shape[1], np.nan)]), k))
 
     if wl.config is None:
         tindex = fs.build_token_index(corpus)

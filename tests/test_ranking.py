@@ -1,6 +1,7 @@
 """The one ranking rule: descending score, ties broken by ascending id."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -107,3 +108,42 @@ def test_top_k_matches_the_full_sort_on_both_sides_of_the_size_cut(data, shape):
         assert got[r].tolist() == sorted_positions(ids.tolist(), scores[r].tolist(), k)
     if scores.size <= FULL_SORT_MAX:  # small inputs are ranked by one lexsort of every entry
         assert spy.call_count == 1 and np.size(spy.call_args.args[0][1]) == scores.size
+
+
+@st.composite
+def sparse_row(draw, n, k, w):
+    """A row that is all NaN, holds fewer than k numbers, or holds its numbers in one stripe
+    (positions s, s+w, ...), so that fewer than k stripe maxima are numbers."""
+    row = np.full(n, np.nan)
+    kind = draw(st.sampled_from(["all-nan", "few", "one-stripe"]))
+    if kind == "few":
+        at = draw(st.lists(st.integers(0, n - 1), max_size=k - 1))
+    else:
+        at = range(draw(st.integers(0, w - 1)), n, w) if kind == "one-stripe" else []
+    row[list(at)] = draw(st.lists(st.sampled_from(SPECIAL), min_size=len(at), max_size=len(at)))
+    return row
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(2, 4), k=st.integers(1, 8), stripe_rows=st.integers(2, 5))
+def test_top_k_cut_at_stripe_maxima_matches_the_full_sort(data, rows, k, stripe_rows):
+    w = 8 * k
+    n = stripe_rows * w + data.draw(st.integers(0, w - 1))  # the tail may be empty or not
+    scores = np.stack([data.draw(st.one_of(score_row(n), sparse_row(n, k, w))) for _ in range(rows)])
+    ids = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=np.int64)  # tied ids
+    with mock.patch.object(util, "FULL_SORT_MAX", 0):
+        got = top_k(ids, scores, k)
+    assert got.shape == (rows, k)
+    for r in range(rows):
+        assert got[r].tolist() == sorted_positions(ids.tolist(), scores[r].tolist(), k)
+
+
+def test_top_k_makes_no_copy_of_the_scores():
+    scores = np.random.default_rng(0).standard_normal((32, 64000))
+    tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+    try:
+        top_k(np.arange(64000), scores, 125)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < scores.nbytes / 4
