@@ -3,11 +3,12 @@
 Run it against two source trees and diff the output to check that a
 refactor leaves every output bit-identical:
 
-    python scripts/output_digest.py --src src --workload pq-1k --seed 0 > new.txt
-    python scripts/output_digest.py --src ../old/src --workload pq-1k --seed 0 > old.txt
+    python scripts/output_digest.py --src src --workload all --seed 0 --seed 1 > new.txt
+    python scripts/output_digest.py --src ../old/src --workload all --seed 0 --seed 1 > old.txt
     diff old.txt new.txt
 
-The workloads are the seeded corpora of perfbench/workloads.py at full size.
+--workload takes one name or all; --seed repeats (default 0). The
+workloads are the seeded corpora of perfbench/workloads.py at full size.
 Covered outputs: the stored doc encodings (dense float32 or PQ codes), the
 float64 doc encodings with empty-cluster fill as configured, off, and with
 a final projection (d_final), the query encodings as one batch, with
@@ -24,7 +25,8 @@ mips_search returns for every query, Lloyd's MSE history (which decides
 when training stops) for four PQ groups, a PQ codebook trained on a
 duplicate-heavy sample (fewer distinct slices than centers) with the codes
 it gives, a k-means config (centers, doc and query encodings, rankings),
-and sv_candidates with dedup on and off followed by the exact rerank.
+the token index's stored tokens and owners (dtype included), and
+sv_candidates with dedup on and off followed by the exact rerank.
 top_k is also covered at its edges: fde_rankings at depth 1 and
 depth=None (every document), and sv_candidates at k_per_query 1 and past
 the token count; and on its own, over a seeded matrix of rounded scores
@@ -70,26 +72,35 @@ def digest(obj) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", required=True, help="source tree holding the fdesearch package")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--workload", required=True, help="a workload name, or all")
+    ap.add_argument("--seed", type=int, action="append", help="repeatable; default 0")
     args = ap.parse_args()
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
+    from workloads import WORKLOADS
 
+    names = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    for name in names:
+        for seed in args.seed or [0]:
+            digest_workload(WORKLOADS[name], seed)
+    return 0
+
+
+def digest_workload(wl, seed: int) -> None:
+    """Print the digests of one workload at one seed."""
     import fdesearch as fs
     from fdesearch.partition import lloyd_kmeans
     from fdesearch.pq import pq_decode_many, pq_encode_many, pq_train
     from fdesearch.util import top_k
-    from workloads import WORKLOADS, make_inputs
+    from workloads import make_inputs
 
-    wl = WORKLOADS[args.workload]
-    docs, queries = make_inputs(wl, args.seed)
+    docs, queries = make_inputs(wl, seed)
     corpus = [m for _, m in docs]
 
     def emit(name, value):  # print as we go, so large outputs are not held together
-        print(f"{wl.name} seed={args.seed} {name} {digest(value)}", flush=True)
+        print(f"{wl.name} seed={seed} {name} {digest(value)}", flush=True)
 
     emit("chamfer_one_nn", list(fs.chamfer_one_nn(queries[:8], corpus).items()))
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     scores = np.round(rng.standard_normal((6, 5003)), 1)
     for value in (np.nan, np.inf, -np.inf):
         scores[rng.random(scores.shape) < 0.01] = value
@@ -100,6 +111,7 @@ def main() -> int:
 
     if wl.config is None:
         tindex = fs.build_token_index(corpus)
+        emit("sv.index", [tindex.tokens, tindex.owners])
         for dedup in (False, True):
             hits = [fs.sv_candidates(Q, tindex, wl.k_per_query, dedup=dedup) for Q in queries]
             emit(f"sv_candidates.dedup={dedup}", hits)
@@ -112,7 +124,7 @@ def main() -> int:
             for dedup in (False, True):
                 emit(f"sv_candidates.k={k}.dedup={dedup}",
                      [digest(np.asarray(fs.sv_candidates(Q, tindex, k, dedup=dedup))) for Q in queries])
-        return 0
+        return
     cfg = wl.config
     index = fs.build_index(corpus, cfg, pq=wl.pq)
     emit("build_index.storage", index.dense if index.dense is not None else index.codes)
@@ -162,7 +174,6 @@ def main() -> int:
     emit("kmeans.doc_fdes", km_index.dense)
     emit("kmeans.query_fdes", fs.generate_query_fdes(queries, km))
     emit("kmeans.query", [fs.query(km_index, Q, wl.k_candidates, wl.final_k).ranking for Q in queries])
-    return 0
 
 
 if __name__ == "__main__":

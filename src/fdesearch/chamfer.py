@@ -13,7 +13,8 @@ for a fixed query.
 ``chamfer`` is the ground-truth reference that the approximate encoding
 pipeline is measured against, and the only source of exact scores: scores
 are accumulated in float64 regardless of input dtype. ``chamfer_top_k``
-ranks many documents by it, screening them first with a float32 pass that
+ranks documents of a ``TokenCorpus`` (defined in util, importable from
+here) by it, screening them first with a float32 pass that
 provably cannot drop a document of the exact top k.
 """
 
@@ -23,31 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .util import as_matrices, as_matrix, shortlist, top_k
+from .util import TokenCorpus, as_matrix, shortlist, top_k
 
 SCREEN_BLOCK = 1 << 21  # entries per screening block: bounds its (tokens, d) gather and (m, tokens) dots
-
-
-class TokenCorpus:
-    """Token matrices stacked into one (T, d) matrix, float32 when every document is float32, else
-    float64. doc(i) is a view; norms[i] is document i's largest token norm in float64 (not finite
-    when the document has a non-finite entry, or float64 entries whose squares overflow)."""
-
-    def __init__(self, docs: Sequence):
-        mats = as_matrices(docs)
-        if not mats:
-            raise ValueError("corpus is empty")
-        self.tokens = np.concatenate(mats)  # float32 only when every document is
-        self.lengths = np.array([m.shape[0] for m in mats])
-        self.starts = np.cumsum(self.lengths) - self.lengths
-        sq = np.einsum("ij,ij->i", self.tokens, self.tokens, dtype=np.float64)
-        self.norms = np.sqrt(np.maximum.reduceat(sq, self.starts))
-
-    def __len__(self) -> int:
-        return len(self.lengths)
-
-    def doc(self, i: int) -> np.ndarray:
-        return self.tokens[self.starts[i]:self.starts[i] + self.lengths[i]]
 
 
 def chamfer(Q, P) -> float:
@@ -66,9 +45,9 @@ def nchamfer(Q, P) -> float:
     return chamfer(q, P) / q.shape[0]
 
 
-def chamfer_top_k(Q, corpus: TokenCorpus, rows, ids, k: int) -> list:
+def chamfer_top_k(Q, corpus: TokenCorpus, rows, k: int) -> list:
     """The best min(k, len(rows)) of the documents at positions rows by chamfer(Q, doc), as
-    (ids[i], score) pairs ranked by top_k: bit for bit, every document scored with chamfer and sorted.
+    (doc id, score) pairs ranked by top_k: bit for bit, every document scored with chamfer and sorted.
 
     A float32 screen (q32 @ G.T over the gathered tokens, np.maximum.reduceat per document, a
     float64 sum over the m query tokens; blocks of about SCREEN_BLOCK entries) is within
@@ -84,9 +63,9 @@ def chamfer_top_k(Q, corpus: TokenCorpus, rows, ids, k: int) -> list:
     """
     q = as_matrix(Q)
     m, d = q.shape
-    if d != corpus.tokens.shape[1]:
-        raise ValueError(f"dimension mismatch: Q has d={d}, P has d={corpus.tokens.shape[1]}")
-    rows, ids = np.asarray(rows, dtype=np.intp), np.asarray(ids, dtype=np.int64)
+    if d != corpus.dim:
+        raise ValueError(f"dimension mismatch: Q has d={d}, P has d={corpus.dim}")
+    rows = np.asarray(rows, dtype=np.intp)
     if k >= len(rows):
         keep = slice(None)
     else:
@@ -99,7 +78,7 @@ def chamfer_top_k(Q, corpus: TokenCorpus, rows, ids, k: int) -> list:
             n, dq = np.linalg.norm(q, axis=1).sum(), np.linalg.norm(q - q32, axis=1).sum()
             slack = 2 * (c * n + dq) * corpus.norms[rows] + 2 * (n + dq + m) * d * 2.0 ** -149
         keep = shortlist(approx, slack, k)
-    ids = ids[keep]
+    ids = corpus.ids[rows[keep]]
     scores = np.array([chamfer(q, corpus.doc(r)) for r in rows[keep]])
     return [(int(ids[i]), float(scores[i])) for i in top_k(ids, scores, k)]
 
@@ -115,7 +94,8 @@ def _screen(q32: np.ndarray, corpus: TokenCorpus, rows: np.ndarray) -> np.ndarra
 
 
 def brute_force_topk(Q, corpus: Sequence, k: int, doc_ids: Sequence[int] | None = None):
-    """Exact Chamfer nearest neighbors of Q over a corpus (token matrices or a TokenCorpus).
+    """Exact Chamfer nearest neighbors of Q over a corpus: token matrices (with doc_ids, positions
+    by default) or a TokenCorpus, which carries its own ids.
 
     Returns the min(k, n) highest-scoring documents as (doc_id, score)
     pairs, sorted by descending score with ties broken by ascending
@@ -123,9 +103,7 @@ def brute_force_topk(Q, corpus: Sequence, k: int, doc_ids: Sequence[int] | None 
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    tokens = corpus if isinstance(corpus, TokenCorpus) else TokenCorpus(corpus)  # raises when empty
-    n = len(tokens)
-    ids = np.asarray(range(n) if doc_ids is None else [int(i) for i in doc_ids], dtype=np.int64)
-    if len(ids) != n:
-        raise ValueError(f"got {len(ids)} doc ids for {n} documents")
-    return chamfer_top_k(Q, tokens, np.arange(n), ids, k)
+    if isinstance(corpus, TokenCorpus) and doc_ids is not None:
+        raise ValueError("a TokenCorpus carries its own doc ids")
+    tokens = corpus if isinstance(corpus, TokenCorpus) else TokenCorpus(corpus, doc_ids)
+    return chamfer_top_k(Q, tokens, np.arange(len(tokens)), k)

@@ -21,14 +21,13 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from . import dataio
 from .encoding import PARAM_NAMES, FdeConfig, config_params, with_kmeans_partitions
 from .engine import DEFAULT_CARVE_TAU, PqSpec, batch_query, build_index
 from .evaluation import recall_at_n, reports_to_jsonl, reports_to_table
 from .svheuristic import build_token_index, sv_candidates
 from .synth import SynthSpec, synth_gen
+from .util import TokenCorpus
 
 
 def _parse_tokens(text: str):
@@ -148,7 +147,7 @@ def _cmd_build(args) -> int:
     settings.setdefault("dim", records[0][1].shape[1])
     config = FdeConfig(**settings)
     if config.partitioner == "kmeans":
-        tokens = np.vstack([m for _, m in records])
+        tokens = TokenCorpus([m for _, m in records]).tokens
         config = with_kmeans_partitions(config, tokens, kmeans_b,
                                         max_tokens=None if args.kmeans_all_tokens else 100_000)
 

@@ -43,12 +43,13 @@ from typing import Sequence
 import numpy as np
 
 from .partition import (
+    MAX_K_SIM,
     KMeansPartitioner,
     assign_with_dists,
     kmeans_train,
     simhash_new,
 )
-from .util import FINAL_PROJ, INNER_PROJ, KMEANS_SAMPLE, as_matrices, as_matrix, derive_rng
+from .util import FINAL_PROJ, INNER_PROJ, KMEANS_SAMPLE, TokenCorpus, as_matrix, derive_rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +78,8 @@ class FdeConfig:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.partitioner not in ("simhash", "kmeans"):
             raise ValueError(f"partitioner must be 'simhash' or 'kmeans', got {self.partitioner!r}")
-        if self.partitioner == "simhash" and not 1 <= self.k_sim <= 24:
-            raise ValueError(f"k_sim must be in [1, 24], got {self.k_sim}")
+        if self.partitioner == "simhash" and not 1 <= self.k_sim <= MAX_K_SIM:
+            raise ValueError(f"k_sim must be in [1, {MAX_K_SIM}], got {self.k_sim}")
         if self.r_reps < 1:
             raise ValueError(f"r_reps must be >= 1, got {self.r_reps}")
         if self.proj_dim > self.dim:
@@ -274,33 +275,18 @@ def _rep_block(idx: np.ndarray, proj: np.ndarray, d2: np.ndarray | None, lengths
     return acc.reshape(n, b * t)
 
 
-def _encode_batch(matrices: Sequence[np.ndarray], side: str, config: FdeConfig) -> np.ndarray:
-    """Shared query/document encoder over a batch of token matrices; float64 (n, fde_dim).
+def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype) -> np.ndarray:
+    """Shared query/document encoder over the token sets of a corpus; (n, fde_dim) of dtype.
 
-    Each repetition assigns and projects the stacked tokens of the whole
-    batch at once, then builds the encodings of consecutive documents
-    holding about BLOCK_TOKENS tokens at a time (_rep_block), so per-cell
-    temporaries stay small whatever the batch size.
+    tokens must hold config.dim columns. Each repetition assigns and
+    projects the stacked tokens of the whole batch at once, in float64,
+    then builds the encodings of consecutive documents holding about
+    BLOCK_TOKENS tokens at a time (_rep_block), so per-cell temporaries
+    stay small whatever the batch size. Without d_final the result is
+    written straight in dtype; with d_final the concatenation is assembled
+    and projected in float64, and the projection is cast.
     """
-    mats = as_matrices(matrices)
-    if not mats:
-        raise ValueError("no inputs to encode")
-    for m in mats:
-        if m.shape[1] != config.dim:
-            raise ValueError(f"dimension mismatch: tokens have d={m.shape[1]}, config.dim={config.dim}")
-    # float32 inputs are widened here only, in one stacked copy
-    return _encode_stacked(np.concatenate(mats, dtype=np.float64), np.array([m.shape[0] for m in mats]),
-                           side, config, np.float64)
-
-
-def _encode_stacked(stacked: np.ndarray, lengths: np.ndarray, side: str, config: FdeConfig,
-                    dtype) -> np.ndarray:
-    """_encode_batch of documents given as float64 (T, config.dim) stacked tokens, lengths[i] rows each.
-
-    The result has the given dtype: without d_final it is written straight
-    in it; with d_final the concatenation is assembled and projected in
-    float64, and the projection is cast.
-    """
+    stacked, lengths = tokens.tokens.astype(np.float64, copy=False), tokens.lengths
     reps, final = config._draws
     b = config.num_clusters
     t = config.proj_dim
@@ -326,15 +312,23 @@ def _encode_stacked(stacked: np.ndarray, lengths: np.ndarray, side: str, config:
 
 
 def generate_query_fdes(queries: Sequence, config: FdeConfig) -> np.ndarray:
-    """Encode a batch of queries; returns an (n, fde_dim) matrix."""
-    return _encode_batch(queries, "query", config)
+    """Encode a batch of queries; returns an (n, fde_dim) float64 matrix.
+
+    The queries are checked as a TokenCorpus of width config.dim: a
+    non-finite token raises ValueError naming the query's position.
+    """
+    return _encode(TokenCorpus(queries, dim=config.dim), "query", config, np.float64)
 
 
 def generate_doc_fdes(docs: Sequence, config: FdeConfig) -> np.ndarray:
-    """Encode a batch of documents; returns an (n, fde_dim) matrix."""
-    return _encode_batch(docs, "doc", config)
+    """Encode a batch of documents; returns an (n, fde_dim) float64 matrix.
+
+    The documents are checked as a TokenCorpus of width config.dim: a
+    non-finite token raises ValueError naming the document's position.
+    """
+    return _encode(TokenCorpus(docs, dim=config.dim), "doc", config, np.float64)
 
 
 def generate_query_fde(Q, config: FdeConfig) -> Fde:
     """Encode one query with its config's fingerprint, which mips_search checks against the index."""
-    return Fde(values=_encode_batch([Q], "query", config)[0], fingerprint=config_fingerprint(config))
+    return Fde(values=generate_query_fdes([Q], config)[0], fingerprint=config_fingerprint(config))

@@ -31,10 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .chamfer import TokenCorpus, chamfer_top_k
-from .encoding import Fde, FdeConfig, _encode_stacked, config_fingerprint, fde_dim, generate_query_fdes
+from .chamfer import chamfer_top_k
+from .encoding import Fde, FdeConfig, _encode, config_fingerprint, fde_dim, generate_query_fdes
 from .pq import PqCodebook, check_code_matrix, pq_encode_many, pq_table_dots, pq_train
-from .util import as_matrices, as_matrix, require_finite, shortlist, top_k
+from .util import TokenCorpus, as_matrix, require_finite, shortlist, top_k
 
 DEFAULT_CARVE_TAU = 0.7  # recall is flat above this threshold; rerank cost is not
 
@@ -202,11 +202,12 @@ class FdeIndex:
         """Attach raw token embeddings (aligned with doc_ids) for reranking.
 
         Every document must be a finite (m, config.dim) matrix. They are
-        held stacked (chamfer.TokenCorpus), in float32 when all are float32.
+        held stacked (a TokenCorpus with the index's doc ids), in float32
+        when all are float32.
         """
         if len(corpus) != self.num_docs:
             raise ValueError(f"corpus has {len(corpus)} documents, index has {self.num_docs}")
-        self.corpus = _token_corpus(corpus, self.doc_ids, self.config.dim)
+        self.corpus = TokenCorpus(corpus, self.doc_ids, self.config.dim)
 
     def _tokens(self) -> TokenCorpus:
         if self.corpus is None:
@@ -214,20 +215,12 @@ class FdeIndex:
         return self.corpus
 
     def doc_matrix(self, doc_id: int) -> np.ndarray:
-        """The attached tokens of one document: a view in the corpus dtype."""
-        return self._tokens().doc(self._pos[int(doc_id)])
-
-
-def _token_corpus(corpus: Sequence, ids, dim: int) -> TokenCorpus:
-    """corpus stacked, after checking that its documents are finite (m, dim) matrices."""
-    mats = as_matrices(corpus)
-    for doc_id, m in zip(ids, mats):
-        if m.shape[1] != dim:
-            raise ValueError(f"document {doc_id} tokens have d={m.shape[1]}, config.dim={dim}")
-    tokens = TokenCorpus(mats)
-    for i in np.flatnonzero(~np.isfinite(tokens.norms)):  # a finite norm has finite entries
-        require_finite(tokens.doc(i), f"document {ids[i]} tokens")
-    return tokens
+        """The attached tokens of one document: a view in the corpus dtype. ValueError for an id
+        that is not indexed."""
+        pos = self._pos.get(int(doc_id))
+        if pos is None:
+            raise ValueError(f"document {doc_id} is not in the index")
+        return self._tokens().doc(pos)
 
 
 def build_index(corpus: Sequence, config: FdeConfig, pq: PqSpec | None = None,
@@ -236,18 +229,14 @@ def build_index(corpus: Sequence, config: FdeConfig, pq: PqSpec | None = None,
 
     Documents are encoded with empty-cluster filling as configured
     (enabled by default). When a PqSpec is given, a codebook is trained on
-    the document encodings and only codes are kept. Non-finite tokens, and
-    finite tokens whose float32 encoding overflows, raise ValueError.
+    the document encodings and only codes are kept. The corpus is checked
+    and held as a TokenCorpus: non-finite tokens, repeated doc ids, and
+    finite tokens whose float32 encoding overflows raise ValueError.
     """
-    if len(corpus) == 0:
-        raise ValueError("corpus is empty")
-    ids = list(range(len(corpus)) if doc_ids is None else doc_ids)
-    if len(ids) != len(corpus):
-        raise ValueError(f"got {len(ids)} doc ids for {len(corpus)} documents")
-    tokens = _token_corpus(corpus, ids, config.dim)
+    tokens = TokenCorpus(corpus, doc_ids, config.dim)
+    ids = tokens.ids
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected just below
-        fdes = _encode_stacked(tokens.tokens.astype(np.float64, copy=False), tokens.lengths, "doc", config,
-                               np.float32)
+        fdes = _encode(tokens, "doc", config, np.float32)
         # float32 entries cannot overflow a float64 row sum: it is finite exactly when the row is
         bad = np.flatnonzero(~np.isfinite(fdes.sum(axis=1, dtype=np.float64)))
     if bad.size:
@@ -322,8 +311,8 @@ def query(index: FdeIndex, Q, k_candidates: int, final_k: int,
     candidates = mips_search(index, qvals, k_candidates)
     t2 = time.perf_counter()
     rerank_q = ball_carve(Q, carve_tau).vectors if carve_tau is not None else Q
-    ids = [doc_id for doc_id, _ in candidates]
-    ranking = chamfer_top_k(rerank_q, index._tokens(), [index._pos[d] for d in ids], ids, final_k)
+    rows = [index._pos[doc_id] for doc_id, _ in candidates]
+    ranking = chamfer_top_k(rerank_q, index._tokens(), rows, final_k)
     t3 = time.perf_counter()
     return RetrievalResult(
         ranking=ranking,

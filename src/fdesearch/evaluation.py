@@ -27,9 +27,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chamfer import TokenCorpus, brute_force_topk
-from .encoding import FdeConfig, config_fingerprint, fde_dim, generate_doc_fdes, generate_query_fdes
-from .util import top_k
+from .chamfer import brute_force_topk
+from .encoding import FdeConfig, _encode, config_fingerprint, fde_dim, generate_query_fdes
+from .util import TokenCorpus, top_k
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class RecallReport:
     num_queries: int
     num_skipped: int = 0
     fingerprint: str = ""
-    candidates: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -78,8 +77,8 @@ def chamfer_one_nn(queries: Sequence, corpus: Sequence,
                    doc_ids: Sequence[int] | None = None) -> dict:
     """Exact Chamfer 1-nearest neighbor per query (ground truth); the corpus is stacked once."""
     qids = list(query_ids) if query_ids is not None else list(range(len(queries)))
-    tokens = TokenCorpus(corpus)
-    return {qids[i]: brute_force_topk(queries[i], tokens, 1, doc_ids=doc_ids)[0][0]
+    tokens = TokenCorpus(corpus, doc_ids)
+    return {qids[i]: brute_force_topk(queries[i], tokens, 1)[0][0]
             for i in range(len(queries))}
 
 
@@ -90,12 +89,13 @@ def fde_rankings(corpus: Sequence, queries: Sequence, config: FdeConfig,
     """Offline run: rank all documents per query by encoding dot product.
 
     No reranking; this measures the encoding itself as a retrieval proxy.
+    The corpus is checked and stacked once, as a TokenCorpus with doc_ids.
     """
-    ids = np.asarray(list(doc_ids) if doc_ids is not None else range(len(corpus)), dtype=np.int64)
+    docs = TokenCorpus(corpus, doc_ids, config.dim)
     qids = list(query_ids) if query_ids is not None else list(range(len(queries)))
-    dots = generate_query_fdes(queries, config) @ generate_doc_fdes(corpus, config).T  # (num_queries, num_docs)
-    order = top_k(ids, dots, len(ids) if depth is None else depth)
-    return dict(zip(qids, ids[order].tolist()))
+    dots = generate_query_fdes(queries, config) @ _encode(docs, "doc", config, np.float64).T  # (queries, docs)
+    order = top_k(docs.ids, dots, len(docs) if depth is None else depth)
+    return dict(zip(qids, docs.ids[order].tolist()))
 
 
 @dataclass(frozen=True)

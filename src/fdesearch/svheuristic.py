@@ -14,66 +14,36 @@ token reads all tokens times d floats (``TokenIndex.scan_cost``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .util import as_matrix, require_finite, top_k
+from .util import TokenCorpus, as_matrix, require_finite, top_k
 
 
-@dataclass(eq=False)
-class TokenIndex:
-    """All corpus tokens stacked flat, with per-token document ownership."""
+class TokenIndex(TokenCorpus):
+    """A TokenCorpus scanned flat as one set of tokens, with the id of the document owning each."""
 
-    tokens: np.ndarray  # (total_tokens, d)
-    owners: np.ndarray  # (total_tokens,) doc id per token
+    def __init__(self, docs: Sequence, ids: Sequence[int] | None = None):
+        super().__init__(docs, ids)
+        self.owners = np.repeat(self.ids, self.lengths)  # (total_tokens,) doc id per token
 
     @property
     def num_tokens(self) -> int:
         return self.tokens.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.tokens.shape[1]
-
     def scan_cost(self, num_query_vectors: int) -> int:
         """Floats an exact scan touches for a query with that many tokens."""
         return int(num_query_vectors) * self.num_tokens * self.dim
 
-    @cached_property
-    def _max_norm(self) -> float:
-        """Largest token norm, computed on first use."""
-        return _max_row_norm(self.tokens)
-
-
-def _max_row_norm(x: np.ndarray) -> float:
-    """Largest row norm of x; inf when a squared norm overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(np.einsum("ij,ij->i", x, x).max()))
-
 
 def build_token_index(corpus: Sequence, doc_ids: Sequence[int] | None = None) -> TokenIndex:
-    """Stack every document's tokens and remember which document owns each.
+    """Stack every document's tokens (in float64) and remember which document owns each.
 
-    Non-finite tokens raise ValueError.
+    The corpus is checked as a TokenCorpus: mixed widths, repeated doc ids
+    and non-finite tokens raise ValueError.
     """
-    if len(corpus) == 0:
-        raise ValueError("corpus is empty")
-    ids = [int(i) for i in (range(len(corpus)) if doc_ids is None else doc_ids)]
-    if len(ids) != len(corpus):
-        raise ValueError(f"got {len(ids)} doc ids for {len(corpus)} documents")
-    mats = [as_matrix(p) for p in corpus]
-    dims = {m.shape[1] for m in mats}
-    if len(dims) != 1:
-        raise ValueError(f"corpus has mixed dimensions: {sorted(dims)}")
-    tokens = np.vstack(mats)
-    owners = np.repeat(np.asarray(ids, dtype=np.int64), [m.shape[0] for m in mats])
-    bad = np.flatnonzero(~np.isfinite(tokens).all(axis=1))
-    if bad.size:
-        raise ValueError(f"document {owners[bad[0]]} tokens must be finite")
-    return TokenIndex(tokens=tokens, owners=owners)
+    return TokenIndex([as_matrix(p) for p in corpus], doc_ids)
 
 
 def sv_candidates(Q, index: TokenIndex, k_per_query: int, dedup: bool) -> list[int]:
@@ -94,8 +64,9 @@ def sv_candidates(Q, index: TokenIndex, k_per_query: int, dedup: bool) -> list[i
         raise ValueError(f"dimension mismatch: query tokens have d={Qa.shape[1]}, index has d={index.dim}")
     with np.errstate(over="ignore", invalid="ignore"):
         dots = Qa @ index.tokens.astype(np.float64, copy=False).T  # (m, total_tokens)
-    # Cauchy-Schwarz: below 1e300 no product or partial sum of a dot can overflow
-    if not _max_row_norm(Qa) * index._max_norm < 1e300:
+    # Cauchy-Schwarz: below 1e300 no product or partial sum of a dot can overflow (Python floats:
+    # their product overflows to inf without a warning)
+    if not float(TokenCorpus([Qa]).norms[0]) * float(index.norms.max()) < 1e300:
         bad = np.flatnonzero(~np.isfinite(dots).all(axis=1))
         if bad.size:
             raise ValueError(f"query token {bad[0]} overflows its dots with the index tokens")

@@ -1,4 +1,4 @@
-"""Shared helpers: deterministic RNG derivation, input checks and ranking.
+"""Shared helpers: deterministic RNG derivation, input checks, token sets and ranking.
 
 Every random draw in the library flows through :func:`derive_rng` so that
 a (seed, purpose, repetition) triple fully determines the draw, no matter
@@ -8,6 +8,8 @@ of each other.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -46,16 +48,62 @@ def as_matrix(x, dtype=np.float64) -> np.ndarray:
     return data
 
 
-def as_matrices(mats) -> list[np.ndarray]:
-    """as_matrix of each, except that a float32 array stays float32 and is not copied."""
-    return [as_matrix(m, np.float32 if getattr(m, "dtype", None) == np.float32 else np.float64) for m in mats]
-
-
 def require_finite(x: np.ndarray, what: str) -> np.ndarray:
     """Return x, or raise ValueError naming what when an entry is NaN or inf."""
     if not np.isfinite(x).all():
         raise ValueError(f"{what} must be finite")
     return x
+
+
+class TokenCorpus:
+    """Token sets stacked into one (T, d) matrix: the one container and check for token-set input.
+
+    Every document must be a nonempty 2-D matrix of finite entries, all of
+    one width: dim when given (the width a config expects), else the first
+    document's. ids gives each document a distinct integer id (positions by
+    default); errors name the document by it. The stack is float32 when
+    every document is float32, else float64, so float32 input is not
+    widened and float64 input is not rounded. doc(i) is a view; norms[i] is
+    document i's largest token norm in float64 (inf when a float64 token's
+    squared norm overflows).
+    """
+
+    def __init__(self, docs: Sequence, ids: Sequence[int] | None = None, dim: int | None = None):
+        mats = [as_matrix(m, np.float32 if getattr(m, "dtype", None) == np.float32 else np.float64) for m in docs]
+        if not mats:
+            raise ValueError("corpus is empty")
+        n = len(mats)
+        if ids is None:  # positions: distinct by construction
+            self.ids = np.arange(n, dtype=np.int64)
+        else:
+            self.ids = np.array([int(i) for i in ids], dtype=np.int64)
+            if len(self.ids) != n:
+                raise ValueError(f"got {len(self.ids)} doc ids for {n} documents")
+            distinct, counts = np.unique(self.ids, return_counts=True)
+            if len(distinct) != n:
+                raise ValueError(f"doc ids must be distinct, got repeats of {distinct[counts > 1][:5].tolist()}")
+        self.lengths, widths = np.array([m.shape for m in mats]).T
+        want = widths[0] if dim is None else dim
+        bad = np.flatnonzero(widths != want)
+        if bad.size:
+            expected = f"document {self.ids[0]} has d={want}" if dim is None else f"config.dim={dim}"
+            raise ValueError(f"document {self.ids[bad[0]]} tokens have d={widths[bad[0]]}, {expected}")
+        self.tokens = np.concatenate(mats)  # float32 only when every document is
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        sq = np.einsum("ij,ij->i", self.tokens, self.tokens, dtype=np.float64)
+        self.norms = np.sqrt(np.maximum.reduceat(sq, self.starts))
+        for i in np.flatnonzero(~np.isfinite(self.norms)):  # a finite norm has finite entries
+            require_finite(self.doc(i), f"document {self.ids[i]} tokens")
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @property
+    def dim(self) -> int:
+        return self.tokens.shape[1]
+
+    def doc(self, i: int) -> np.ndarray:
+        return self.tokens[self.starts[i]:self.starts[i] + self.lengths[i]]
 
 
 def shortlist(approx: np.ndarray, slack: np.ndarray, k: int):

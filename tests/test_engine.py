@@ -373,3 +373,11 @@ def test_pq_index_holds_its_codes_once_group_major(small_dataset):
     for Q in queries[:4]:
         assert mips_search(row_major, generate_query_fdes([Q], CFG)[0], 20) == \
             mips_search(index, generate_query_fdes([Q], CFG)[0], 20)
+
+
+def test_doc_matrix_of_an_unindexed_id_is_a_value_error(small_dataset):
+    corpus, _, _ = small_dataset
+    index = build_index(corpus, CFG)
+    assert np.array_equal(index.doc_matrix(3), corpus[3])
+    with pytest.raises(ValueError, match="document 999 is not in the index"):
+        index.doc_matrix(999)

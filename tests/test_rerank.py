@@ -70,7 +70,7 @@ def rerank_cases(draw):
     elif qkind == "zero":
         Q = np.zeros((m, d))
     rows = np.array(draw(st.permutations(range(n))), dtype=np.int64)[:draw(st.integers(1, n))]
-    ids = np.array(draw(st.permutations(range(n))), dtype=np.int64)[:len(rows)] * 3 + 7
+    ids = np.array(draw(st.permutations(range(n))), dtype=np.int64) * 3 + 7  # one per document
     k = draw(st.one_of(st.just(len(rows)), st.integers(1, len(rows) + 2)))  # k = every candidate, or any
     block = draw(st.sampled_from([1, 40, chamfer_module.SCREEN_BLOCK]))  # one document per block, a few, all
     return docs, Q, rows, ids, k, block
@@ -80,12 +80,12 @@ def rerank_cases(draw):
 @given(rerank_cases())
 def test_screened_rerank_equals_scoring_every_candidate(case):
     docs, Q, rows, ids, k, block = case
-    corpus = TokenCorpus(docs)
+    corpus = TokenCorpus(docs, ids)
     assert corpus.tokens.dtype == docs[0].dtype
-    want = by_chamfer(Q, [docs[r] for r in rows], ids, k)
+    want = by_chamfer(Q, [docs[r] for r in rows], ids[rows], k)
     everything = by_chamfer(Q, docs, range(len(docs)), k)
     with mock.patch.object(chamfer_module, "SCREEN_BLOCK", block):
-        assert hexed(chamfer_top_k(Q, corpus, rows, ids, k)) == hexed(want)
+        assert hexed(chamfer_top_k(Q, corpus, rows, k)) == hexed(want)
         assert hexed(brute_force_topk(Q, docs, k)) == hexed(everything)
 
 
@@ -152,7 +152,7 @@ def test_query_equals_a_per_candidate_chamfer_composition(served, wide, tau):
 
 def test_rerank_skips_the_screen_when_it_keeps_every_candidate(served):
     corpus, queries = served
-    tokens = TokenCorpus(corpus)
+    tokens = TokenCorpus(corpus, np.arange(len(corpus)) * 3 + 1)
     rows = np.arange(0, len(corpus), 7)
     ids = rows * 3 + 1
     cfg = FdeConfig(dim=corpus[0].shape[1], k_sim=3, d_proj=8, r_reps=4, seed=3)
@@ -161,7 +161,7 @@ def test_rerank_skips_the_screen_when_it_keeps_every_candidate(served):
         for Q in queries:
             for k in (len(rows), len(rows) + 3):
                 want = by_chamfer(Q, [corpus[r] for r in rows], ids, k)
-                assert hexed(chamfer_top_k(Q, tokens, rows, ids, k)) == hexed(want)
+                assert hexed(chamfer_top_k(Q, tokens, rows, k)) == hexed(want)
             rq = ball_carve(Q, 0.7).vectors
             cands = [d for d, _ in mips_search(index, generate_query_fdes([Q], cfg)[0], 10)]
             assert hexed(query(index, Q, 10, 10, carve_tau=0.7).ranking) == \
