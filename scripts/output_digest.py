@@ -22,16 +22,18 @@ and on an index of a corpus whose odd documents repeat the even ones
 that corpus), chamfer_one_nn of the first queries over the whole corpus,
 PQ centers, decode and the candidate ids and asymmetric dots that
 mips_search returns for every query, Lloyd's MSE history (which decides
-when training stops) for four PQ groups, a PQ codebook trained on a
-duplicate-heavy sample (fewer distinct slices than centers) with the codes
-it gives, a k-means config (centers, doc and query encodings, rankings),
-the token index's stored tokens and owners (dtype included), and
-sv_candidates with dedup on and off followed by the exact rerank.
-top_k is also covered at its edges: fde_rankings at depth 1 and
-depth=None (every document), and sv_candidates at k_per_query 1 and past
-the token count; and on its own, over a seeded matrix of rounded scores
-(ties) with NaN and +-inf whose length no 8k divides, also with one row
-all NaN (the full-sort fallback).
+when training stops) for every PQ group, and alone for four of them, a
+PQ codebook trained on a duplicate-heavy sample (fewer distinct slices
+than centers) with the codes it gives, a k-means config (centers, doc
+and query encodings, rankings), the token index's stored tokens and
+owners (dtype included), and sv_candidates with dedup on and off
+followed by the exact rerank. top_k is also covered at its edges:
+fde_rankings at depth 1 and depth=None (every document), and
+sv_candidates at k_per_query 1 and past the token count; and on its own,
+over a seeded matrix of rounded scores (ties) with NaN and +-inf whose
+length no 8k divides, also with one row all NaN (the full-sort
+fallback), and over the same scores rounded to integers (thousands of
+ties at every cut).
 """
 
 from __future__ import annotations
@@ -108,6 +110,7 @@ def digest_workload(wl, seed: int) -> None:
     for k in (1, 125, 400):
         emit(f"top_k.k={k}", top_k(ids, scores, k))
         emit(f"top_k.k={k}.nan_row", top_k(ids, np.vstack([scores, np.full(scores.shape[1], np.nan)]), k))
+        emit(f"top_k.k={k}.integers", top_k(ids, np.round(scores), k))
 
     if wl.config is None:
         tindex = fs.build_token_index(corpus)
@@ -135,9 +138,10 @@ def digest_workload(wl, seed: int) -> None:
         emit("mips.pq", [fs.mips_search(index, qv, wl.k_candidates) for qv in fs.generate_query_fdes(queries, cfg)])
         fdes = fs.generate_doc_fdes(corpus, cfg).astype(np.float32).astype(np.float64)  # what PQ trains on
         g, groups = wl.pq.g, index.codebook.num_groups
+        histories = [lloyd_kmeans(fdes[:, grp * g:(grp + 1) * g], wl.pq.c, cfg.seed, grp)[1] for grp in range(groups)]
         for grp in (0, 1, groups // 2, groups - 1):
-            history = lloyd_kmeans(fdes[:, grp * g:(grp + 1) * g], wl.pq.c, cfg.seed, grp)[1]
-            emit(f"lloyd.history.group={grp}", history)
+            emit(f"lloyd.history.group={grp}", histories[grp])
+        emit("lloyd.history.all_groups", histories)
         dup_book = pq_train(np.round(np.repeat(fdes[:150], 3, axis=0), 1), wl.pq.c, g, cfg.seed)
         emit("pq.dup_sample.centers", dup_book.centers)
         emit("pq.dup_sample.effective_c", dup_book.effective_c)

@@ -317,7 +317,7 @@ def generate_query_fdes(queries: Sequence, config: FdeConfig) -> np.ndarray:
     The queries are checked as a TokenCorpus of width config.dim: a
     non-finite token raises ValueError naming the query's position.
     """
-    return _encode(TokenCorpus(queries, dim=config.dim), "query", config, np.float64)
+    return _encode(TokenCorpus(queries, dim=config.dim, name="query"), "query", config, np.float64)
 
 
 def generate_doc_fdes(docs: Sequence, config: FdeConfig) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .chamfer import chamfer_top_k
 from .encoding import Fde, FdeConfig, _encode, config_fingerprint, fde_dim, generate_query_fdes
-from .pq import PqCodebook, check_code_matrix, pq_encode_many, pq_table_dots, pq_train
+from .pq import PqCodebook, check_code_matrix, pq_table_dots, pq_train_encode
 from .util import TokenCorpus, as_matrix, require_finite, shortlist, top_k
 
 DEFAULT_CARVE_TAU = 0.7  # recall is flat above this threshold; rerank cost is not
@@ -244,8 +244,8 @@ def build_index(corpus: Sequence, config: FdeConfig, pq: PqSpec | None = None,
     if pq is None:
         index = FdeIndex(ids, config, dense=fdes)
     else:
-        codebook = pq_train(fdes, c=pq.c, g=pq.g, seed=config.seed)
-        index = FdeIndex(ids, config, codebook=codebook, codes=pq_encode_many(codebook, fdes))
+        codebook, codes = pq_train_encode(fdes, c=pq.c, g=pq.g, seed=config.seed)
+        index = FdeIndex(ids, config, codebook=codebook, codes=codes)
     index.corpus = tokens  # checked above
     return index
 

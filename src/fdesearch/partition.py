@@ -97,13 +97,17 @@ def assign_with_dists(partitioner, X) -> tuple[np.ndarray, np.ndarray | None]:
 def sq_dists(X: np.ndarray, C: np.ndarray, xx: np.ndarray | None = None) -> np.ndarray:
     """(m, B) squared Euclidean distances from the rows of X to the rows of C.
 
-    Pass xx = np.sum(X * X, axis=1) to reuse it. Worked in place on the product, so each
-    entry rounds as xx - 2 x.c + cc is written (a -2 folded into C would not, for subnormals).
+    Pass xx = np.sum(X * X, axis=1) to reuse it.
     """
-    t = X @ C.T
+    return _sq_from_dots(X @ C.T, np.sum(X * X, axis=1) if xx is None else xx, np.sum(C * C, axis=1))
+
+
+def _sq_from_dots(t: np.ndarray, xx: np.ndarray, cc: np.ndarray) -> np.ndarray:
+    """xx[:, None] - 2 t + cc worked in place on the dot products t, so each entry rounds as
+    xx - 2 x.c + cc is written (a -2 folded into C would not, for subnormals)."""
     t *= -2.0
-    t += (np.sum(X * X, axis=1) if xx is None else xx)[:, None]
-    t += np.sum(C * C, axis=1)
+    t += xx[:, None]
+    t += cc
     return t
 
 
@@ -120,16 +124,29 @@ def distinct_rows(pts: np.ndarray) -> np.ndarray:
     return rows[changed]
 
 
-def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, list[float]]:
+def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, list[float], np.ndarray | None]:
     """Lloyd's algorithm with seeded distinct-point initialization.
 
-    Returns (centers, history). k is reduced to the number of distinct
-    points when necessary. history[t] is the mean squared distance to
-    the nearest center before the t-th update; it never increases. The
-    loop stops after KMEANS_MAX_ITERS updates or when the relative
-    decrease of the MSE falls below KMEANS_TOL.
+    Returns (centers, history, labels). k is reduced to the number of
+    distinct points when necessary. history[t] is the mean squared
+    distance to the nearest center before the t-th update; it never
+    increases. The loop stops after KMEANS_MAX_ITERS updates or when the
+    relative decrease of the MSE falls below KMEANS_TOL. labels is each
+    point's nearest final center (ties to the lowest) when the last update
+    moved no center, else None.
+
+    The (n, k) squared distances are kept across updates. Entry (i, j)
+    depends only on point i and center j, so after an update only the
+    columns of centers whose bits changed (a -0.0/+0.0 flip counts) are
+    refreshed, and all of them when more than a quarter moved. The refresh
+    still takes the full product of the points with every center and
+    picks the moved columns from it: BLAS computes the columns past the
+    last multiple of its kernel width with another kernel, so a product
+    with the moved centers alone would round some columns differently.
+    The distances, and so the labels and the history, are bit for bit
+    those of recomputing every column on every update.
     """
-    pts = as_matrix(points)
+    pts = np.ascontiguousarray(as_matrix(points))  # a strided group slice makes every product slower
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     distinct = distinct_rows(pts)
@@ -139,9 +156,15 @@ def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, l
 
     n, d = pts.shape
     xx, weights = np.sum(pts * pts, axis=1), pts.ravel()  # once per call, not per update
+    d2, dots = np.empty((n, k_eff)), np.empty((n, k_eff))  # reused: no fresh pages per update
     history: list[float] = []
+    moved = None  # before the first update: every column is computed
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = sq_dists(pts, centers, xx)
+        if moved is None or 4 * len(moved) > k_eff:
+            _sq_from_dots(np.matmul(pts, centers.T, out=d2), xx, np.sum(centers * centers, axis=1))
+        elif len(moved):
+            np.matmul(pts, centers.T, out=dots)
+            d2[:, moved] = _sq_from_dots(dots[:, moved], xx, np.sum(centers * centers, axis=1)[moved])
         labels = np.argmin(d2, axis=1)
         mse = float(np.maximum(d2.take(np.arange(n) * k_eff + labels), 0.0).mean())
         history.append(mse)
@@ -149,16 +172,19 @@ def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, l
         # one flat bincount sums each center's points from 0 in point order, as np.add.at did
         sums = np.bincount((labels[:, None] * d + np.arange(d)).ravel(), weights=weights,
                            minlength=k_eff * d).reshape(k_eff, d)
-        nonempty = counts > 0
-        centers[nonempty] = sums[nonempty] / counts[nonempty, None]  # empty clusters keep their center
+        nonempty = np.flatnonzero(counts)  # empty clusters keep their center
+        updated = sums[nonempty] / counts[nonempty, None]
+        changed = (updated.view(np.uint64) != centers[nonempty].view(np.uint64)).any(axis=1)
+        moved = nonempty[changed]
+        centers[moved] = updated[changed]
         if len(history) >= 2:
             prev, cur = history[-2], history[-1]
             if prev <= 0.0 or (prev - cur) / prev < KMEANS_TOL:
                 break
-    return centers, history
+    return centers, history, labels if len(moved) == 0 else None
 
 
 def kmeans_train(points, b: int, seed: int, rep: int = 0) -> KMeansPartitioner:
     """Train a nearest-center partitioner with B centers on the given points."""
-    centers, _ = lloyd_kmeans(points, b, seed, rep=rep)
+    centers = lloyd_kmeans(points, b, seed, rep=rep)[0]
     return KMeansPartitioner(centers=centers)

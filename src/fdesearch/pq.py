@@ -9,7 +9,9 @@ center ("asymmetric" querying). With C=256 and G=8 this stores a vector in
 d/8 bytes, a 32x reduction over 4-byte floats.
 
 Training runs k-means per group on one shared seeded sample of at most
-100,000 vectors, sliced per group.
+100,000 vectors, sliced per group. pq_train_encode also returns the
+training vectors' codes: a group whose last Lloyd update moved no center
+has them already as its labels, so only the other groups are encoded.
 
 Codes are held group-major: one C-contiguous (groups, n) uint8 matrix, so
 a group's codes for every vector are one contiguous row. The public code
@@ -79,7 +81,27 @@ class PqCodebook:
 
 def pq_train(vectors, c: int = 256, g: int = 8, seed: int = 0) -> PqCodebook:
     """Train a codebook with c centers per group of g dimensions."""
+    return _train(as_matrix(vectors), c, g, seed)[0]
+
+
+def pq_train_encode(vectors, c: int = 256, g: int = 8, seed: int = 0) -> tuple[PqCodebook, np.ndarray]:
+    """pq_train(vectors) and pq_encode_many of the same vectors, bit for bit.
+
+    A group whose last Lloyd update moved no center already holds every
+    training vector's nearest final center: its labels are taken as the
+    codes. The other groups, and all groups when training used a
+    subsample, run pq_encode_many's nearest-center pass.
+    """
     V = as_matrix(vectors)
+    codebook, labels = _train(V, c, g, seed)
+    codes = np.empty((codebook.num_groups, V.shape[0]), dtype=np.uint8)
+    for grp, group_labels in enumerate(labels):
+        codes[grp] = _nearest_centers(codebook, V, grp) if group_labels is None else group_labels
+    return codebook, codes.T
+
+
+def _train(V: np.ndarray, c: int, g: int, seed: int) -> tuple[PqCodebook, list]:
+    """The codebook, and per group the labels of V's rows from its last Lloyd update or None."""
     n, d = V.shape
     if not 1 <= c <= 256:
         raise ValueError(f"centers per group must be in [1, 256] so codes fit one byte, got {c}")
@@ -93,12 +115,15 @@ def pq_train(vectors, c: int = 256, g: int = 8, seed: int = 0) -> PqCodebook:
     num_groups = d // g
     centers = np.zeros((num_groups, c, g), dtype=np.float64)
     effective = np.zeros(num_groups, dtype=np.int64)
+    labels = []
     for grp in range(num_groups):
         sl = sample[:, grp * g:(grp + 1) * g]
-        grp_centers, _ = lloyd_kmeans(sl, c, seed, rep=grp)
+        grp_centers, _, grp_labels = lloyd_kmeans(sl, c, seed, rep=grp)
         effective[grp] = grp_centers.shape[0]
         centers[grp, :grp_centers.shape[0]] = grp_centers
-    return PqCodebook(centers=centers, effective_c=effective)
+        # a subsample's labels are not V's codes; held as codes, one byte a row
+        labels.append(grp_labels.astype(np.uint8) if sample is V and grp_labels is not None else None)
+    return PqCodebook(centers=centers, effective_c=effective), labels
 
 
 def pq_encode_many(codebook: PqCodebook, V) -> np.ndarray:
@@ -107,12 +132,16 @@ def pq_encode_many(codebook: PqCodebook, V) -> np.ndarray:
     Va = as_matrix(V)
     if Va.shape[1] != codebook.dim:
         raise ValueError(f"dimension mismatch: vectors have d={Va.shape[1]}, codebook expects {codebook.dim}")
-    g = codebook.group_dim
     codes = np.empty((codebook.num_groups, Va.shape[0]), dtype=np.uint8)
     for grp in range(codebook.num_groups):
-        cc = codebook.centers[grp, :codebook.effective_c[grp]]
-        codes[grp] = np.argmin(sq_dists(Va[:, grp * g:(grp + 1) * g], cc), axis=1)  # ties -> lowest center
+        codes[grp] = _nearest_centers(codebook, Va, grp)
     return codes.T
+
+
+def _nearest_centers(codebook: PqCodebook, V: np.ndarray, grp: int) -> np.ndarray:
+    g = codebook.group_dim
+    cc = codebook.centers[grp, :codebook.effective_c[grp]]
+    return np.argmin(sq_dists(V[:, grp * g:(grp + 1) * g], cc), axis=1)  # ties -> lowest center
 
 
 def check_code_matrix(codebook: PqCodebook, codes) -> np.ndarray:

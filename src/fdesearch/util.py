@@ -61,14 +61,16 @@ class TokenCorpus:
     Every document must be a nonempty 2-D matrix of finite entries, all of
     one width: dim when given (the width a config expects), else the first
     document's. ids gives each document a distinct integer id (positions by
-    default); errors name the document by it. The stack is float32 when
+    default); errors name a document by name and id ("document 3"; a batch
+    of queries passes name="query"). The stack is float32 when
     every document is float32, else float64, so float32 input is not
     widened and float64 input is not rounded. doc(i) is a view; norms[i] is
     document i's largest token norm in float64 (inf when a float64 token's
     squared norm overflows).
     """
 
-    def __init__(self, docs: Sequence, ids: Sequence[int] | None = None, dim: int | None = None):
+    def __init__(self, docs: Sequence, ids: Sequence[int] | None = None, dim: int | None = None,
+                 name: str = "document"):
         mats = [as_matrix(m, np.float32 if getattr(m, "dtype", None) == np.float32 else np.float64) for m in docs]
         if not mats:
             raise ValueError("corpus is empty")
@@ -86,14 +88,14 @@ class TokenCorpus:
         want = widths[0] if dim is None else dim
         bad = np.flatnonzero(widths != want)
         if bad.size:
-            expected = f"document {self.ids[0]} has d={want}" if dim is None else f"config.dim={dim}"
-            raise ValueError(f"document {self.ids[bad[0]]} tokens have d={widths[bad[0]]}, {expected}")
+            expected = f"{name} {self.ids[0]} has d={want}" if dim is None else f"config.dim={dim}"
+            raise ValueError(f"{name} {self.ids[bad[0]]} tokens have d={widths[bad[0]]}, {expected}")
         self.tokens = np.concatenate(mats)  # float32 only when every document is
         self.starts = np.cumsum(self.lengths) - self.lengths
         sq = np.einsum("ij,ij->i", self.tokens, self.tokens, dtype=np.float64)
         self.norms = np.sqrt(np.maximum.reduceat(sq, self.starts))
         for i in np.flatnonzero(~np.isfinite(self.norms)):  # a finite norm has finite entries
-            require_finite(self.doc(i), f"document {self.ids[i]} tokens")
+            require_finite(self.doc(i), f"{name} {self.ids[i]} tokens")
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -136,6 +138,10 @@ def top_k(ids, scores, k: int) -> np.ndarray:
        into a small NaN-padded matrix, whose partition at k-1 gives each
        row's exact k-th best score. Every entry at least that good is
        sorted, ties at the cut included, so the cut cannot change the order.
+       When more than 2k entries a row reach the bound (on average), most
+       tie at it (all-equal or few-valued scores), and of those only each
+       row's first k by (id, position) go on: an entry at the bound behind
+       k others at it cannot rank.
 
     Inputs of at most FULL_SORT_MAX scores take the full sort, and so do rows
     where fewer than k stripes hold a number (the bound is NaN).
@@ -154,8 +160,12 @@ def top_k(ids, scores, k: int) -> np.ndarray:
         peaks.partition(k - 1, axis=1)  # partition puts NaN last, as the ranking does
         bound = -peaks[:, k - 1:k]
         if not np.isnan(bound).any():
-            # row-major, so equal keys keep their position order (flatnonzero: ~10x faster than 2-D nonzero)
-            row, col = np.divmod(np.flatnonzero(flat >= bound), n)
+            hits = np.flatnonzero(flat >= bound)  # ~10x faster than 2-D nonzero
+            if len(hits) > 2 * rows * k:  # mostly ties at the bound: keep only the ones that can rank
+                by_row = ids.reshape(-1, n)
+                hits = np.concatenate([_reach(flat[r], by_row[r], bound[r, 0], k) + r * n for r in range(rows)])
+            # row-major, so equal keys keep their position order
+            row, col = np.divmod(hits, n)
             neg = -flat[row, col]
             first = np.searchsorted(row, np.arange(rows))  # row ascends: where each row's survivors start
             at = np.arange(len(row)) - first[row]
@@ -168,3 +178,16 @@ def top_k(ids, scores, k: int) -> np.ndarray:
             first = np.searchsorted(row, np.arange(rows))
             return col[order[first[:, None] + np.arange(k)]].reshape(scores.shape[:-1] + (k,))
     return np.lexsort((ids, -scores), axis=-1)[..., :max(k, 0)]
+
+
+def _reach(scores: np.ndarray, ids: np.ndarray, bound, k: int) -> np.ndarray:
+    """Ascending positions of the entries of one row above bound, and of the first k entries at
+    bound by (id, position): an entry at bound behind k others at bound can never make the top k."""
+    at = np.flatnonzero(scores == bound)
+    if len(at) > k:
+        key = ids[at]
+        last = np.partition(key, k - 1)[k - 1]  # the k-th lowest id at the bound
+        first = key < last
+        first[np.flatnonzero(key == last)[:k - np.count_nonzero(first)]] = True
+        at = at[first]
+    return np.union1d(np.flatnonzero(scores > bound), at)

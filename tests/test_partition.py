@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fdesearch import partition, pq
+from fdesearch.encoding import FdeConfig, generate_doc_fdes
+from fdesearch.engine import PqSpec, build_index
 from fdesearch.partition import (
     KMEANS_MAX_ITERS,
     KMEANS_TOL,
@@ -16,6 +19,7 @@ from fdesearch.partition import (
     simhash_new,
 )
 from fdesearch.pq import PqCodebook, pq_encode_many, pq_train
+from fdesearch.synth import SynthSpec, generate_synthetic
 from fdesearch.util import KMEANS_INIT, derive_rng
 
 
@@ -153,7 +157,7 @@ def test_kmeans_rejects_empty_input():
 def test_lloyd_mse_never_increases():
     rng = np.random.default_rng(28)
     points = rng.standard_normal((200, 6))
-    _, history = lloyd_kmeans(points, 8, seed=5)
+    _, history, _ = lloyd_kmeans(points, 8, seed=5)
     assert all(history[i + 1] <= history[i] + 1e-12 for i in range(len(history) - 1))
 
 
@@ -215,10 +219,62 @@ def same_bits(a, b):
 def test_lloyd_kmeans_matches_the_three_term_oracle_bit_for_bit(pts, extra_k, seed, rep):
     distinct = np.unique(pts, axis=0).shape[0]
     k = max(1, distinct + extra_k)  # up to 5 above the number of distinct points
-    centers, history = lloyd_kmeans(pts, k, seed, rep=rep)
+    centers, history, _ = lloyd_kmeans(pts, k, seed, rep=rep)
     want_centers, want_history = oracle_lloyd(pts, k, seed, rep)
     assert same_bits(centers, want_centers)
     assert [h.hex() for h in history] == [h.hex() for h in want_history]
+
+
+def test_lloyd_kmeans_refreshes_moved_columns_bit_for_bit(monkeypatch):
+    # 16 overlapping blobs keep centers moving for many updates, a few at a time; 12 far groups of
+    # identical points with a -0.0 coordinate give their center a +0.0 there on its first update
+    rng = np.random.default_rng(5)
+    blobs = np.repeat(rng.uniform(-4, 4, (16, 3)), 28, axis=0) + 2 * rng.standard_normal((448, 3))
+    far = np.column_stack([100.0 + 10 * np.arange(12), np.full(12, -0.0), np.full(12, 0.5)])
+    pts, k, seed = np.vstack([blobs, np.repeat(far, 4, axis=0)]), 64, 1
+    refreshed = []
+    sq_from_dots = partition._sq_from_dots
+
+    def spy(t, xx, cc):
+        refreshed.append(t.shape[1])
+        return sq_from_dots(t, xx, cc)
+
+    monkeypatch.setattr(partition, "_sq_from_dots", spy)
+    centers, history, labels = lloyd_kmeans(pts, k, seed)
+    monkeypatch.undo()
+    want_centers, want_history = oracle_lloyd(pts, k, seed)
+    assert same_bits(centers, want_centers)
+    assert [h.hex() for h in history] == [h.hex() for h in want_history]
+    assert any(0 < cols < k for cols in refreshed)  # some updates refreshed only the moved columns
+    distinct = distinct_rows(pts)
+    start = distinct[derive_rng(seed, KMEANS_INIT, 0).choice(len(distinct), k, replace=False)]
+    flipped = start[:, 0] >= 100  # started on a far group, at its -0.0, and ended at the group's mean
+    assert flipped.any() and np.signbit(start[flipped, 1]).all() and not np.signbit(centers[flipped, 1]).any()
+    assert same_bits(labels, np.argmin(oracle_sq_dists(pts, want_centers), axis=1))
+
+
+@pytest.mark.parametrize("sample_limit", [None, 100])
+def test_build_index_codes_equal_pq_encode_many(monkeypatch, sample_limit):
+    docs, _, _ = generate_synthetic(SynthSpec(num_docs=120, num_queries=1, num_clusters=12, seed=2))
+    corpus, cfg, spec = [m for _, m in docs], FdeConfig(dim=32, k_sim=4, d_proj=8, r_reps=6, seed=1), PqSpec(16, 8)
+    if sample_limit is not None:  # below the 120 documents: training sees a subsample, so every group is encoded
+        monkeypatch.setattr(pq, "TRAIN_SAMPLE_LIMIT", sample_limit)
+    encoded = []
+    nearest = pq._nearest_centers
+
+    def spy(book, V, grp):
+        encoded.append(grp)
+        return nearest(book, V, grp)
+
+    monkeypatch.setattr(pq, "_nearest_centers", spy)
+    index = build_index(corpus, cfg, pq=spec)
+    monkeypatch.setattr(pq, "_nearest_centers", nearest)  # the sample limit stays for pq_train below
+    fdes = generate_doc_fdes(corpus, cfg).astype(np.float32)
+    book = pq_train(fdes, spec.c, spec.g, cfg.seed)
+    assert same_bits(index.codebook.centers, book.centers)
+    assert same_bits(np.ascontiguousarray(index.codes), np.ascontiguousarray(pq_encode_many(book, fdes)))
+    groups = index.codebook.num_groups
+    assert len(encoded) == groups if sample_limit is not None else len(encoded) < groups
 
 
 @settings(max_examples=200, deadline=None)

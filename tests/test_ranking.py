@@ -5,6 +5,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -147,3 +148,22 @@ def test_top_k_makes_no_copy_of_the_scores():
     finally:
         tracemalloc.stop()
     assert peak < scores.nbytes / 4
+
+
+@pytest.mark.parametrize("kind", ["signed-zeros", "two-valued"])
+def test_top_k_keeps_only_the_ties_at_the_cut_that_can_rank(kind):
+    # every row ties at its cut tens of thousands of times; ids are shuffled, so the ties that rank are spread out
+    rng = np.random.default_rng(1)
+    rows, n, k = 32, 64000, 125
+    pick = rng.random((rows, n)) < 0.5
+    scores = np.where(pick, -0.0, 0.0) if kind == "signed-zeros" else pick.astype(np.float64)
+    ids = rng.permutation(n)
+    tracemalloc.start()
+    try:
+        got = top_k(ids, scores, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one position per tie (8 bytes an entry), not a padded matrix and sort keys for every tie
+    assert peak < 1.25 * scores.nbytes
+    assert np.array_equal(got, np.lexsort((np.broadcast_to(ids, scores.shape), -scores))[:, :k])

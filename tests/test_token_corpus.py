@@ -58,12 +58,13 @@ def test_token_set_entry_points_reject_bad_input(entry, bad):
         with pytest.raises(ValueError, match="doc ids"):
             ENTRY_POINTS[entry](docs, [7, 7, 7, 8, 9, 10])
         return
+    named = f"query {ids[2]}" if entry == "generate_query_fdes" else f"document {ids[2]}"
     if bad == "mixed widths":
         docs[2] = docs[2][:, :7]
-        match = f"document {ids[2]} tokens have d=7"
+        match = f"{named} tokens have d=7"
     else:
         docs[2][1, 3] = float(bad)
-        match = f"document {ids[2]} tokens must be finite"
+        match = f"{named} tokens must be finite"
     with pytest.raises(ValueError, match=match):
         ENTRY_POINTS[entry](docs, IDS if entry in TAKES_IDS else None)
 
