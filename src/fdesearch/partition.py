@@ -138,7 +138,8 @@ def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, l
     The (n, k) squared distances are kept across updates. Entry (i, j)
     depends only on point i and center j, so after an update only the
     columns of centers whose bits changed (a -0.0/+0.0 flip counts) are
-    refreshed, and all of them when more than a quarter moved. The refresh
+    refreshed, and all of them when more than an eighth moved (past that,
+    the strided gather and scatter cost more than they save). The refresh
     still takes the full product of the points with every center and
     picks the moved columns from it: BLAS computes the columns past the
     last multiple of its kernel width with another kernel, so a product
@@ -156,11 +157,13 @@ def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, l
 
     n, d = pts.shape
     xx, weights = np.sum(pts * pts, axis=1), pts.ravel()  # once per call, not per update
-    d2, dots = np.empty((n, k_eff)), np.empty((n, k_eff))  # reused: no fresh pages per update
+    # reused across updates, and one block: two separate (n, k) buffers were faulted in afresh on
+    # every call (~700k page faults over pq-1k's 640 groups, against ~3.5k for one block)
+    d2, dots = np.empty((2, n, k_eff))
     history: list[float] = []
     moved = None  # before the first update: every column is computed
     for _ in range(KMEANS_MAX_ITERS):
-        if moved is None or 4 * len(moved) > k_eff:
+        if moved is None or 8 * len(moved) > k_eff:
             _sq_from_dots(np.matmul(pts, centers.T, out=d2), xx, np.sum(centers * centers, axis=1))
         elif len(moved):
             np.matmul(pts, centers.T, out=dots)
