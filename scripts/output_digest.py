@@ -7,6 +7,14 @@ refactor leaves every output bit-identical:
     python scripts/output_digest.py --src ../old/src --workload all --seed 0 --seed 1 > old.txt
     diff old.txt new.txt
 
+or record the digests once and check a tree against the file:
+
+    python scripts/output_digest.py --src ../old/src --workload all --seed 0 --seed 1 --write DIGESTS.json
+    python scripts/output_digest.py --src src --workload all --seed 0 --seed 1 --check DIGESTS.json
+
+--check exits 1 and lists every digest that differs from the file or is
+missing from it (digests of workloads or seeds not run are not compared).
+
 --workload takes one name or all; --seed repeats (default 0). The
 workloads are the seeded corpora of perfbench/workloads.py at full size.
 Covered outputs: the stored doc encodings (dense float32 or PQ codes), the
@@ -41,6 +49,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -76,19 +85,31 @@ def main() -> int:
     ap.add_argument("--src", required=True, help="source tree holding the fdesearch package")
     ap.add_argument("--workload", required=True, help="a workload name, or all")
     ap.add_argument("--seed", type=int, action="append", help="repeatable; default 0")
+    ap.add_argument("--write", metavar="FILE", help="also write the digests to FILE as JSON")
+    ap.add_argument("--check", metavar="FILE", help="compare with the digests in FILE; exit 1 if any differs")
     args = ap.parse_args()
+    want = json.loads(Path(args.check).read_text()) if args.check else None
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
     from workloads import WORKLOADS
 
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    got: dict[str, str] = {}
     for name in names:
         for seed in args.seed or [0]:
-            digest_workload(WORKLOADS[name], seed)
-    return 0
+            digest_workload(WORKLOADS[name], seed, got)
+    if args.write:
+        Path(args.write).write_text(json.dumps(got, indent=1) + "\n")
+    if want is None:
+        return 0
+    differ = [key for key in got if want.get(key) != got[key]]
+    for key in differ:
+        print(f"DIFFERS: {key} {want.get(key, 'missing')} -> {got[key]}", file=sys.stderr)
+    print(f"{len(got) - len(differ)} of {len(got)} digests match {args.check}", file=sys.stderr)
+    return 1 if differ else 0
 
 
-def digest_workload(wl, seed: int) -> None:
-    """Print the digests of one workload at one seed."""
+def digest_workload(wl, seed: int, got: dict) -> None:
+    """Print the digests of one workload at one seed and add them to got."""
     import fdesearch as fs
     from fdesearch.partition import lloyd_kmeans
     from fdesearch.pq import pq_decode_many, pq_encode_many, pq_train
@@ -99,7 +120,9 @@ def digest_workload(wl, seed: int) -> None:
     corpus = [m for _, m in docs]
 
     def emit(name, value):  # print as we go, so large outputs are not held together
-        print(f"{wl.name} seed={seed} {name} {digest(value)}", flush=True)
+        key = f"{wl.name} seed={seed} {name}"
+        got[key] = digest(value)
+        print(key, got[key], flush=True)
 
     emit("chamfer_one_nn", list(fs.chamfer_one_nn(queries[:8], corpus).items()))
     rng = np.random.default_rng(seed)

@@ -88,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--carve-tau", type=float, nargs="?", const=DEFAULT_CARVE_TAU, default=None,
                    help=f"group query tokens before reranking; bare flag uses {DEFAULT_CARVE_TAU}")
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--workers", type=int, default=0)
 
     p = sub.add_parser("eval", help="score a run file against qrels")
     p.add_argument("--run", required=True)
@@ -164,7 +163,7 @@ def _cmd_query(args) -> int:
     index = dataio.read_index(args.index, corpus_records=corpus_records)
     queries = dataio.read_mvec(args.queries, normalize=args.normalize)
     results = batch_query(index, [m for _, m in queries], args.k_candidates, args.final_k,
-                          carve_tau=args.carve_tau, workers=args.workers)
+                          carve_tau=args.carve_tau)
     run = {qid: res.ranking for (qid, _), res in zip(queries, results)}
     meta = {
         "fingerprint": index.fingerprint, "k_candidates": args.k_candidates,

@@ -10,8 +10,10 @@ The shipped dense backend is an exact scan: one float32 matrix-vector
 product, a proven per-row rounding-error bound that shortlists every row
 that can still reach the top k, and an exact float64 rescore of that
 shortlist. It returns the ranking a float64 scan of every row returns,
-without widening the stored matrix. Anything implementing
-``search(query_values, k) -> [(doc_id, dot), ...]`` can be swapped in.
+without widening the stored matrix. Both backends answer
+``search(query_values, k)`` with the row positions of the top k and their
+dots; mips_search maps the positions to doc ids, and query() hands them
+to the rerank as they are.
 
 Non-finite input fails loudly: documents (the corpus attached for
 reranking included), document encodings, query tokens and query encodings
@@ -32,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .chamfer import chamfer_top_k
-from .encoding import Fde, FdeConfig, _encode, config_fingerprint, fde_dim, generate_query_fdes
+from .encoding import Fde, FdeConfig, _encode, config_fingerprint, fde_dim
 from .pq import PqCodebook, check_code_matrix, pq_table_dots, pq_train_encode
 from .util import TokenCorpus, as_matrix, require_finite, shortlist, top_k
 
@@ -105,8 +107,9 @@ class ExactScanBackend:
         self._floor = dim * 2.0 ** -120
 
     def search(self, query_values: np.ndarray, k: int):
+        """(positions, dots) of the min(k, n) best rows, best first, ties by ascending doc id."""
         if k < 1:
-            return []
+            return np.empty(0, dtype=np.intp), np.empty(0)
         q = np.asarray(query_values, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
             q32 = q.astype(np.float32)
@@ -114,7 +117,9 @@ class ExactScanBackend:
             slack = self._norms * (self._coef * np.linalg.norm(q) + 2 * np.linalg.norm(q - q32)) + self._floor
         rows = shortlist(approx, slack, k)
         dots = np.einsum("ij,j->i", self.fdes[rows], q, dtype=np.float64, casting="safe")
-        return _top_by_dot(self.doc_ids[rows], dots, k)
+        rows = np.arange(len(self.fdes))[rows]
+        best = top_k(self.doc_ids[rows], dots, k)
+        return rows[best], dots[best]
 
 
 class PqScanBackend:
@@ -134,12 +139,10 @@ class PqScanBackend:
         self.codes = np.ascontiguousarray(check_code_matrix(codebook, codes).T, dtype=np.uint8).T
 
     def search(self, query_values: np.ndarray, k: int):
+        """(positions, asymmetric dots) of the min(k, n) best rows, best first, ties by ascending doc id."""
         dots = pq_table_dots(self.codebook, query_values, self.codes)
-        return _top_by_dot(self.doc_ids, dots, k)
-
-
-def _top_by_dot(ids: np.ndarray, dots: np.ndarray, k: int):
-    return [(int(ids[i]), float(dots[i])) for i in top_k(ids, dots, k)]
+        best = top_k(self.doc_ids, dots, k)
+        return best, dots[best]
 
 
 class FdeIndex:
@@ -149,7 +152,8 @@ class FdeIndex:
                  codebook: PqCodebook | None = None, codes: np.ndarray | None = None,
                  corpus: Sequence | None = None):
         self.doc_ids = np.asarray(doc_ids, dtype=np.int64)
-        if len(set(self.doc_ids.tolist())) != len(self.doc_ids):
+        self._pos = {d: i for i, d in enumerate(self.doc_ids.tolist())}
+        if len(self._pos) != len(self.doc_ids):
             raise ValueError("doc ids must be unique")
         self.config = config
         self.fingerprint = config_fingerprint(config)
@@ -170,7 +174,6 @@ class FdeIndex:
         self.corpus = None
         if corpus is not None:
             self.attach_corpus(corpus)
-        self._pos = {int(d): i for i, d in enumerate(self.doc_ids)}
         if self.dense is not None:
             self.backend = ExactScanBackend(self.doc_ids, self.dense)
             self.codes = None
@@ -262,7 +265,8 @@ def mips_search(index: FdeIndex, query_fde, k_candidates: int):
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (index.fde_dim,):
         raise ValueError(f"query encoding has shape {values.shape}, index stores dimension {index.fde_dim}")
-    return index.backend.search(require_finite(values, "query encoding"), k_candidates)
+    rows, dots = index.backend.search(require_finite(values, "query encoding"), k_candidates)
+    return list(zip(index.doc_ids[rows].tolist(), dots.tolist()))
 
 
 def ball_carve(Q, tau: float) -> CarvedQuery:
@@ -299,38 +303,30 @@ def query(index: FdeIndex, Q, k_candidates: int, final_k: int,
     Reranking scores candidates with Chamfer similarity on the raw corpus
     embeddings, using the ball-carved query when carve_tau is given
     (chamfer_top_k: a float32 screen, then chamfer on the candidates that
-    can still make the cut). Returns the final_k best candidates.
+    can still make the cut). Returns the final_k best candidates. Q is
+    checked once, as a TokenCorpus: a non-finite token, or a width other
+    than config.dim, raises ValueError naming "query 0".
     """
     if final_k < 1 or final_k > k_candidates:
         raise ValueError(f"need 1 <= final_k <= k_candidates, got final_k={final_k}, k_candidates={k_candidates}")
     t0 = time.perf_counter()
-    require_finite(as_matrix(Q), "query tokens")
-    with np.errstate(over="ignore", invalid="ignore"):  # mips_search rejects the overflow
-        qvals = generate_query_fdes([Q], index.config)[0]
+    q = TokenCorpus([Q], dim=index.config.dim, name="query")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed encoding is rejected below
+        qvals = _encode(q, "query", index.config, np.float64)[0]
     t1 = time.perf_counter()
-    candidates = mips_search(index, qvals, k_candidates)
+    rows, _ = index.backend.search(require_finite(qvals, "query encoding"), k_candidates)
     t2 = time.perf_counter()
-    rerank_q = ball_carve(Q, carve_tau).vectors if carve_tau is not None else Q
-    rows = [index._pos[doc_id] for doc_id, _ in candidates]
+    rerank_q = ball_carve(q.tokens, carve_tau).vectors if carve_tau is not None else q.tokens
     ranking = chamfer_top_k(rerank_q, index._tokens(), rows, final_k)
     t3 = time.perf_counter()
     return RetrievalResult(
         ranking=ranking,
-        candidates_retrieved=len(candidates),
+        candidates_retrieved=len(rows),
         timings={"fde_gen": t1 - t0, "mips": t2 - t1, "rerank": t3 - t2},
     )
 
 
 def batch_query(index: FdeIndex, queries: Sequence, k_candidates: int, final_k: int,
-                carve_tau: float | None = None, workers: int = 0) -> list[RetrievalResult]:
-    """Run query() over many queries; workers > 0 uses a thread pool.
-
-    Results are positionally aligned with the input and independent of the
-    degree of parallelism.
-    """
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda q: query(index, q, k_candidates, final_k, carve_tau), queries))
+                carve_tau: float | None = None) -> list[RetrievalResult]:
+    """Run query() over many queries; results are positionally aligned with the input."""
     return [query(index, q, k_candidates, final_k, carve_tau) for q in queries]

@@ -181,10 +181,9 @@ def variance_study(corpus: Sequence, queries: Sequence, qrels: Mapping,
     return VarianceReport(seeds=seeds, per_seed=per_seed, mean=mean, std=std)
 
 
-def default_schedule(max_n: int = 10_000) -> list[int]:
-    """Candidate counts to probe: 10..100 by 10, then 200..max_n by 100."""
-    sched = list(range(10, 101, 10)) + list(range(200, max_n + 1, 100))
-    return [n for n in sched if n <= max_n]
+def default_schedule() -> list[int]:
+    """Candidate counts to probe: 10..100 by 10, then 200..10000 by 100."""
+    return list(range(10, 101, 10)) + list(range(200, 10_001, 100))
 
 
 @dataclass(frozen=True)

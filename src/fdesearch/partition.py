@@ -94,12 +94,9 @@ def assign_with_dists(partitioner, X) -> tuple[np.ndarray, np.ndarray | None]:
     raise TypeError(f"unknown partitioner type {type(partitioner).__name__}")
 
 
-def sq_dists(X: np.ndarray, C: np.ndarray, xx: np.ndarray | None = None) -> np.ndarray:
-    """(m, B) squared Euclidean distances from the rows of X to the rows of C.
-
-    Pass xx = np.sum(X * X, axis=1) to reuse it.
-    """
-    return _sq_from_dots(X @ C.T, np.sum(X * X, axis=1) if xx is None else xx, np.sum(C * C, axis=1))
+def sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(m, B) squared Euclidean distances from the rows of X to the rows of C."""
+    return _sq_from_dots(X @ C.T, np.sum(X * X, axis=1), np.sum(C * C, axis=1))
 
 
 def _sq_from_dots(t: np.ndarray, xx: np.ndarray, cc: np.ndarray) -> np.ndarray:

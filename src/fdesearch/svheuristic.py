@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .util import TokenCorpus, as_matrix, require_finite, top_k
+from .util import TokenCorpus, as_matrix, top_k
 
 
 class TokenIndex(TokenCorpus):
@@ -53,20 +53,21 @@ def sv_candidates(Q, index: TokenIndex, k_per_query: int, dedup: bool) -> list[i
     product (exact scan; ties go to the lower token position). The hits
     are interleaved rank-major and mapped to owning doc ids. With dedup,
     later repeats of a doc id are removed, keeping the first occurrence.
-    k_per_query larger than the token count is clamped. Non-finite query
-    tokens, and finite ones whose dots with the index tokens overflow, raise
-    ValueError. The scan touches index.scan_cost(len(Q)) floats.
+    k_per_query larger than the token count is clamped. Q is checked once,
+    as a TokenCorpus: non-finite query tokens raise ValueError naming
+    "query 0". Finite ones whose dots with the index tokens overflow raise
+    ValueError too. The scan touches index.scan_cost(len(Q)) floats.
     """
     if k_per_query < 1:
         raise ValueError(f"k_per_query must be >= 1, got {k_per_query}")
-    Qa = require_finite(as_matrix(Q), "query tokens")
-    if Qa.shape[1] != index.dim:
-        raise ValueError(f"dimension mismatch: query tokens have d={Qa.shape[1]}, index has d={index.dim}")
+    q = TokenCorpus([Q], name="query")
+    if q.dim != index.dim:
+        raise ValueError(f"dimension mismatch: query tokens have d={q.dim}, index has d={index.dim}")
     with np.errstate(over="ignore", invalid="ignore"):
-        dots = Qa @ index.tokens.astype(np.float64, copy=False).T  # (m, total_tokens)
+        dots = as_matrix(q.tokens) @ index.tokens.astype(np.float64, copy=False).T  # (m, total_tokens)
     # Cauchy-Schwarz: below 1e300 no product or partial sum of a dot can overflow (Python floats:
     # their product overflows to inf without a warning)
-    if not float(TokenCorpus([Qa]).norms[0]) * float(index.norms.max()) < 1e300:
+    if not float(q.norms[0]) * float(index.norms.max()) < 1e300:
         bad = np.flatnonzero(~np.isfinite(dots).all(axis=1))
         if bad.size:
             raise ValueError(f"query token {bad[0]} overflows its dots with the index tokens")

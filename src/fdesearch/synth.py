@@ -86,19 +86,19 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows / norms
 
 
-def matched_pair(rng: np.random.Generator, m: int = 16, dim: int = 32, clumps: int = 2,
-                 spread: float = 0.03, query_noise: float = 0.02):
+def matched_pair(rng: np.random.Generator, m: int = 16, dim: int = 32):
     """One (Q, P) pair of unit-row matrices with planted per-token matches.
 
-    P's tokens sit in a few tight clumps; Q's token i is a perturbation of
-    P's token i. This is the workload encodings are meant for (every query
+    P's tokens sit in two tight clumps (Gaussian spread 0.03 around two
+    random directions); Q's token i is P's token i plus Gaussian noise of
+    scale 0.02. This is the workload encodings are meant for (every query
     token has a true near neighbor); with tokens instead drawn uniformly
     at random the best match carries no structure a partition could find.
     """
-    dirs = _unit_rows(rng.standard_normal((clumps, dim)))
-    base = dirs[np.arange(m) % clumps]
-    P = _unit_rows(base + spread * rng.standard_normal((m, dim)))
-    Q = _unit_rows(P + query_noise * rng.standard_normal((m, dim)))
+    dirs = _unit_rows(rng.standard_normal((2, dim)))
+    base = dirs[np.arange(m) % 2]
+    P = _unit_rows(base + 0.03 * rng.standard_normal((m, dim)))
+    Q = _unit_rows(P + 0.02 * rng.standard_normal((m, dim)))
     return Q, P
 
 

@@ -100,4 +100,6 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli_main(["inspect", str(tmp_path / "missing.mvec")]) == 1
     assert "error:" in capsys.readouterr().err
     assert cli_main(["build", "--corpus", "x", "--out", "y", "--bogus-flag"]) == 2
+    # query has no thread pool: --workers is an unknown flag, rejected before any file is read
+    assert cli_main(["query", "--index", "i", "--corpus", "c", "--queries", "q", "--out", "o", "--workers", "2"]) == 2
     assert cli_main([]) == 2

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from fdesearch.encoding import (
     projection_matrix,
     with_kmeans_partitions,
 )
-from fdesearch.engine import FdeIndex, batch_query, build_index
+from fdesearch.engine import FdeIndex, batch_query, build_index, query
 from fdesearch.partition import SimHashPartitioner, assign_many, sq_dists
 from fdesearch.synth import matched_pair
 from fdesearch.util import as_matrix, derive_rng
@@ -526,10 +527,12 @@ def test_concurrent_first_use_matches_the_sequential_run():
         return FdeIndex(index.doc_ids, cfg, dense=index.dense, corpus=corpus)
 
     want = batch_query(unused_copy(), queries, 20, 5)
+    shared = unused_copy()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = batch_query(unused_copy(), queries, 20, 5, workers=4)
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda Q: query(shared, Q, 20, 5), queries))
     finally:
         sys.setswitchinterval(interval)
     assert [r.ranking for r in got] == [r.ranking for r in want]

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -223,7 +225,8 @@ def test_batch_query_parallel_matches_sequential(small_dataset):
     corpus, queries, _ = small_dataset
     index = build_index(corpus, CFG)
     seq = batch_query(index, queries, 20, 5)
-    par = batch_query(index, queries, 20, 5, workers=4)
+    with ThreadPoolExecutor(4) as pool:  # callers may run query() from their own threads
+        par = list(pool.map(lambda Q: query(index, Q, 20, 5), queries))
     assert [r.ranking for r in seq] == [r.ranking for r in par]
 
 

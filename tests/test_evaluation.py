@@ -160,10 +160,9 @@ def test_threshold_table_basics():
 
 
 def test_default_schedule_shape():
-    sched = default_schedule(10_000)
+    sched = default_schedule()
     assert sched[:10] == list(range(10, 101, 10))
     assert sched[10] == 200 and sched[-1] == 10_000
-    assert default_schedule(500)[-1] == 500
 
 
 def test_report_serialization_round_trip():

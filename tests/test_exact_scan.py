@@ -22,7 +22,8 @@ def norm(x):
 
 
 def check_search(ids, F, q, k):
-    got = ExactScanBackend(ids, F).search(q, k)
+    pos, dots = ExactScanBackend(ids, F).search(q, k)
+    got = list(zip(ids[pos].tolist(), dots.tolist()))
     order = np.lexsort((ids, -full_scan(F, q)))[:k]
     assert [doc for doc, _ in got] == ids[order].tolist()
     blas = F.astype(np.float64) @ q

@@ -1,6 +1,7 @@
 """The screened exact rerank ranks exactly as scoring every candidate with chamfer."""
 
 import importlib
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from fdesearch import evaluation
 from fdesearch.chamfer import TokenCorpus, brute_force_topk, chamfer, chamfer_top_k
 from fdesearch.encoding import FdeConfig, generate_query_fdes
-from fdesearch.engine import ball_carve, batch_query, build_index, mips_search, query
+from fdesearch.engine import ball_carve, build_index, mips_search, query
 from fdesearch.evaluation import chamfer_one_nn
 from fdesearch.synth import SynthSpec, generate_synthetic
 
@@ -142,7 +143,8 @@ def test_query_equals_a_per_candidate_chamfer_composition(served, wide, tau):
     index = build_index(corpus, cfg)
     assert index.corpus.tokens.dtype == (np.float64 if wide else np.float32)
     for kc, fk in ((60, 10), (25, 25), (150, 3)):
-        results = batch_query(index, queries, kc, fk, carve_tau=tau, workers=4)
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(lambda Q: query(index, Q, kc, fk, carve_tau=tau), queries))
         for Q, res in zip(queries, results):
             cands = [d for d, _ in mips_search(index, generate_query_fdes([Q], cfg)[0], kc)]
             rq = Q if tau is None else ball_carve(Q, tau).vectors

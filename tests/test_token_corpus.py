@@ -1,6 +1,8 @@
 """Every public entry point that takes token sets checks them as one TokenCorpus: non-finite tokens,
 mixed widths and repeated doc ids raise ValueError, and the stack holds each document bit for bit."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,8 @@ from fdesearch import (
     fde_rankings,
     generate_doc_fdes,
     generate_query_fdes,
+    query,
+    sv_candidates,
 )
 from fdesearch.chamfer import TokenCorpus
 
@@ -38,8 +42,12 @@ ENTRY_POINTS = {
     "build_index": lambda docs, ids: build_index(docs, CFG, doc_ids=ids),
     "attach_corpus": attach_corpus,
     "build_token_index": lambda docs, ids: build_token_index(docs, doc_ids=ids),
+    # single-query entry points: docs[2] is the query
+    "query": lambda docs, ids: query(build_index(clean_docs(), CFG), docs[2], 3, 2),
+    "sv_candidates": lambda docs, ids: sv_candidates(docs[2], build_token_index(clean_docs()), 2, dedup=False),
 }
 TAKES_IDS = {"fde_rankings", "brute_force_topk", "chamfer_one_nn", "build_index", "build_token_index"}
+ONE_QUERY = {"query", "sv_candidates"}
 
 
 def clean_docs():
@@ -49,7 +57,8 @@ def clean_docs():
 
 @pytest.mark.parametrize("entry, bad", [(entry, bad) for entry in sorted(ENTRY_POINTS)
                                         for bad in ("nan", "inf", "-inf", "mixed widths", "repeated ids")
-                                        if bad != "repeated ids" or entry in TAKES_IDS])
+                                        if (bad != "repeated ids" or entry in TAKES_IDS)
+                                        and (bad in ("nan", "inf", "-inf") or entry not in ONE_QUERY)])
 def test_token_set_entry_points_reject_bad_input(entry, bad):
     docs = clean_docs()
     ENTRY_POINTS[entry](docs, IDS if entry in TAKES_IDS else None)  # the clean input is accepted
@@ -58,7 +67,8 @@ def test_token_set_entry_points_reject_bad_input(entry, bad):
         with pytest.raises(ValueError, match="doc ids"):
             ENTRY_POINTS[entry](docs, [7, 7, 7, 8, 9, 10])
         return
-    named = f"query {ids[2]}" if entry == "generate_query_fdes" else f"document {ids[2]}"
+    named = "query 0" if entry in ONE_QUERY else f"query {ids[2]}" if entry == "generate_query_fdes" \
+        else f"document {ids[2]}"
     if bad == "mixed widths":
         docs[2] = docs[2][:, :7]
         match = f"{named} tokens have d=7"
@@ -67,6 +77,31 @@ def test_token_set_entry_points_reject_bad_input(entry, bad):
         match = f"{named} tokens must be finite"
     with pytest.raises(ValueError, match=match):
         ENTRY_POINTS[entry](docs, IDS if entry in TAKES_IDS else None)
+
+
+def test_query_and_sv_candidates_check_the_query_once(monkeypatch):
+    """One TokenCorpus per call is the query's only check: no require_finite pass over its tokens."""
+    index = build_index(clean_docs(), CFG)
+    tokens = build_token_index(clean_docs())
+    checks = []
+    init = TokenCorpus.__init__
+
+    def counted_init(self, *args, **kwargs):
+        checks.append("TokenCorpus")
+        init(self, *args, **kwargs)
+
+    def require_finite(x, what):
+        if np.shape(x) == Q.shape:  # the query tokens; the query encoding is (fde_dim,)
+            checks.append("require_finite")
+        return x
+
+    monkeypatch.setattr(TokenCorpus, "__init__", counted_init)
+    for module in ("fdesearch.engine", "fdesearch.svheuristic"):
+        monkeypatch.setattr(importlib.import_module(module), "require_finite", require_finite, raising=False)
+    for call in (lambda: query(index, Q, 3, 2), lambda: sv_candidates(Q, tokens, 2, dedup=False)):
+        checks.clear()
+        call()
+        assert checks == ["TokenCorpus"]
 
 
 def test_brute_force_topk_takes_ids_from_a_token_corpus_only():
