@@ -13,8 +13,12 @@ Construction, per repetition:
    that landed there; the document encoding stores their *centroid*;
 3. document clusters that received no token are optionally filled with the
    single document token whose hash has the fewest disagreeing bits
-   (``fill_empty``); query clusters are never filled, an empty cluster
-   stays a zero block;
+   (``fill_empty``; nearest-center: the token nearest the cluster's
+   center), ties to the lowest token. With sign hashing a cluster id is a
+   hash value, so the fill walks the hash values 1, 2, ... bits away from
+   the cluster while that costs fewer lookups than pairing the cluster
+   with every token of its document, and pairs them after that; query
+   clusters are never filled, an empty cluster stays a zero block;
 4. each d-dimensional block may be reduced to d_proj dimensions by a
    seeded random +/-1 projection (identity when d_proj == d).
 
@@ -227,14 +231,16 @@ BLOCK_TOKENS = 1 << 14  # tokens per block of documents; keeps the per-cell temp
 
 def _fill_tokens(empty: np.ndarray, b: int, starts: np.ndarray, lengths: np.ndarray,
                  idx: np.ndarray, d2: np.ndarray | None) -> np.ndarray:
-    """Token filling each empty (document, cluster) cell ``empty`` (doc * b + cluster).
+    """Token filling each empty (document, cluster) cell ``empty`` (doc * b + cluster), pairwise.
 
     Each cell is paired with its own document's tokens only, so the work is
     the number of such pairs: no padding to the longest document and no
     (tokens, clusters) table. The nearest token has the fewest disagreeing
     hash bits with the cluster (sign hashing, d2 None) or the smallest
     squared distance d2 to its center (nearest-center); ties go to the
-    lowest token, as in np.argmin.
+    lowest token, as in np.argmin. This is the whole fill with k-means
+    partitions; with sign hashing _hamming_fill hands it the cells whose
+    neighbour walk would cost more than these pairs.
     """
     doc, cluster = np.divmod(empty, b)
     seg = lengths[doc]
@@ -249,30 +255,76 @@ def _fill_tokens(empty: np.ndarray, b: int, starts: np.ndarray, lengths: np.ndar
     return np.minimum.reduceat(np.where(dist == best, token, idx.size), seg_start)  # idx.size: no token
 
 
+def _hamming_fill(empty: np.ndarray, cell: np.ndarray, b: int, k_sim: int,
+                  lengths: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """_fill_tokens for sign hashing, by walking the hash values around each empty cell.
+
+    A cluster id is a hash value, so the tokens r bits away from a cluster
+    are those whose hash is the cluster XOR a mask of popcount r. first
+    holds each (document, hash) cell's lowest token; for r = 1, 2, ... a
+    cell takes the lowest first token over its distance-r hashes, and the
+    first r with one settles it: fewest disagreeing bits, ties to the
+    lowest token, as in np.argmin. Before each r, when the C(k_sim, r)
+    lookups of the cells left would outnumber their pairs with their
+    documents' tokens, those cells go to _fill_tokens instead, so memory
+    stays within the pairwise path's.
+    """
+    first = np.full(len(lengths) * b, idx.size)  # idx.size: no token
+    np.minimum.at(first, cell, np.arange(idx.size))
+    fill = np.empty(empty.size, dtype=np.intp)
+    left, cells = np.arange(empty.size), empty  # b is a power of 2: cell ^ mask keeps the document
+    bits = 1 << np.arange(k_sim)
+    masks = np.zeros(1, dtype=np.int64)
+    for r in range(1, k_sim + 1):
+        if math.comb(k_sim, r) * cells.size > lengths[cells // b].sum():
+            break
+        masks = np.unique(masks[:, None] | bits)
+        masks = masks[np.bitwise_count(masks) == r]
+        near = first[cells ^ masks[:, None]].min(axis=0)
+        hit = near < idx.size
+        fill[left[hit]] = near[hit]
+        left, cells = left[~hit], cells[~hit]
+        if not cells.size:
+            return fill
+    fill[left] = _fill_tokens(cells, b, np.cumsum(lengths) - lengths, lengths, idx, None)
+    return fill
+
+
 def _rep_block(idx: np.ndarray, proj: np.ndarray, d2: np.ndarray | None, lengths: np.ndarray,
-               owner_base: np.ndarray, side: str, config: FdeConfig, b: int) -> np.ndarray:
-    """One repetition's (n, B * d_proj) part of the encodings of n consecutive documents.
+               owner_base: np.ndarray, side: str, config: FdeConfig, dest: np.ndarray) -> None:
+    """Write one repetition's part of the encodings of n consecutive documents into dest (n, B, d_proj).
 
     idx, proj and d2 are the assignments, projected tokens and (k-means)
     center distances of the documents' stacked tokens, and owner_base is
     B times each token's document. Sums are taken from 0 in token order,
     the order a per-document sum takes, so each cluster block is bit for
-    bit what encoding the document alone gives. Document blocks are
-    centroids, and empty cells are filled as configured.
+    bit what encoding the document alone gives: one bincount per
+    coordinate on the document side, one flat bincount over every
+    (cell, coordinate) on the query side, where a served query has too few
+    tokens for d_proj calls to pay. Document blocks are centroids, and
+    empty cells are filled as configured: by _hamming_fill with sign
+    hashing, by _fill_tokens with k-means partitions.
     """
-    n, t = len(lengths), proj.shape[1]
+    n, b, t = dest.shape
     cell = owner_base + idx
-    acc = np.bincount((cell[:, None] * t + np.arange(t)).ravel(), weights=proj.ravel(),
-                      minlength=n * b * t).reshape(n * b, t)
-    if side == "doc":
-        counts = np.bincount(cell, minlength=n * b)
-        acc /= np.maximum(counts, 1)[:, None]  # an empty cell stays 0
-        empty = np.flatnonzero(counts == 0)
-        if config.fill_empty and empty.size:
-            starts = np.cumsum(lengths) - lengths
-            acc[empty] = proj[_fill_tokens(empty, b, starts, lengths, idx, d2)]
-    acc *= 1.0 / math.sqrt(config.r_reps)
-    return acc.reshape(n, b * t)
+    scale = 1.0 / math.sqrt(config.r_reps)
+    if side == "query":
+        acc = np.bincount((cell[:, None] * t + np.arange(t)).ravel(), weights=proj.ravel(), minlength=n * b * t)
+        np.multiply(acc.reshape(n, b, t), scale, out=dest)
+        return
+    acc = np.empty((t, n * b))
+    for j in range(t):
+        acc[j] = np.bincount(cell, weights=proj[:, j], minlength=n * b)
+    counts = np.bincount(cell, minlength=n * b)
+    acc /= np.maximum(counts, 1)  # an empty cell stays 0
+    empty = np.flatnonzero(counts == 0)
+    if config.fill_empty and empty.size:
+        if d2 is None:
+            fill = _hamming_fill(empty, cell, b, config.k_sim, lengths, idx)
+        else:
+            fill = _fill_tokens(empty, b, np.cumsum(lengths) - lengths, lengths, idx, d2)
+        acc[:, empty] = proj[fill].T
+    np.multiply(acc.reshape(t, n, b).transpose(1, 2, 0), scale, out=dest)
 
 
 def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype) -> np.ndarray:
@@ -297,14 +349,14 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype) -> np.ndar
     blocks = [(slice(lo, hi), slice(ends[lo] - lengths[lo], ends[hi - 1]),  # documents, their tokens,
                np.repeat(np.arange(hi - lo) * b, lengths[lo:hi]))  # B * each token's document in the block
               for lo, hi in zip(bounds, bounds[1:])]
-    out = np.empty((n, r, b * t), dtype=np.float64 if final is not None else dtype)
+    out = np.empty((n, r, b, t), dtype=np.float64 if final is not None else dtype)
 
     for rep, (part, S) in enumerate(reps):
         idx, d2 = assign_with_dists(part, stacked)
         proj = stacked if S is None else (stacked @ S.T) / np.sqrt(t)
         for docs, toks, owner_base in blocks:
-            out[docs, rep] = _rep_block(idx[toks], proj[toks], None if d2 is None else d2[toks],
-                                        lengths[docs], owner_base, side, config, b)
+            _rep_block(idx[toks], proj[toks], None if d2 is None else d2[toks], lengths[docs], owner_base,
+                       side, config, out[docs, rep])
     out = out.reshape(n, r * b * t)
     if final is not None:
         out = _final_project(out, final).astype(dtype, copy=False)

@@ -141,7 +141,8 @@ def pq_encode_many(codebook: PqCodebook, V) -> np.ndarray:
 def _nearest_centers(codebook: PqCodebook, V: np.ndarray, grp: int) -> np.ndarray:
     g = codebook.group_dim
     cc = codebook.centers[grp, :codebook.effective_c[grp]]
-    return np.argmin(sq_dists(V[:, grp * g:(grp + 1) * g], cc), axis=1)  # ties -> lowest center
+    sl = np.ascontiguousarray(V[:, grp * g:(grp + 1) * g])  # as in lloyd_kmeans: a strided slice slows the product
+    return np.argmin(sq_dists(sl, cc), axis=1)  # ties -> lowest center
 
 
 def check_code_matrix(codebook: PqCodebook, codes) -> np.ndarray:

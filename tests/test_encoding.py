@@ -333,6 +333,94 @@ def test_fill_empty_matches_scalar_hamming_oracle():
             assert np.array_equal(blocks[cluster], P[nearest])
 
 
+def check_fill_against_scalar_oracles(docs, cfg):
+    """Every empty cluster block of every document holds its nearest token, by a scalar rule per cell.
+
+    Sign hashing: fewest disagreeing hash bits, ties to the lowest token.
+    k-means: smallest squared distance to the cluster's center, ties to
+    the lowest token. d_proj is None, so a block is its token times the
+    repetition scale. Returns the number of empty cells checked.
+    """
+    b, r = cfg.num_clusters, cfg.r_reps
+    scale = 1.0 / np.sqrt(r)
+    stacked = np.vstack(docs)
+    bounds = np.cumsum([0] + [len(P) for P in docs])
+    blocks = generate_doc_fdes(docs, cfg).reshape(len(docs), r, b, cfg.dim)
+    checked = 0
+    for rep in range(r):
+        part = partitioner_for_rep(cfg, rep)
+        idx_all = assign_many(part, stacked)
+        for j, P in enumerate(docs):
+            idx = [int(h) for h in idx_all[bounds[j]:bounds[j + 1]]]
+            for cluster in set(range(b)) - set(idx):
+                if cfg.partitioner == "simhash":
+                    nearest = min(range(len(P)), key=lambda i: ((idx[i] ^ cluster).bit_count(), i))
+                else:
+                    d2 = sq_dists(P, part.centers[cluster:cluster + 1])[:, 0]
+                    nearest = min(range(len(P)), key=lambda i: (d2[i], i))
+                assert same_bits(blocks[j, rep, cluster], P[nearest] * scale)
+                checked += 1
+    return checked
+
+
+@st.composite
+def hamming_fill_cases(draw):
+    """Several documents of 1-60 tokens under 1-10 hash bits: cells the walk settles, cells it hands over."""
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    docs = [rng.standard_normal((m, dim)) for m in draw(st.lists(st.integers(1, 60), min_size=1, max_size=8))]
+    if draw(st.booleans()):  # a half-integer grid: duplicate tokens and zero dots
+        docs = [np.round(2 * d) / 2 for d in docs]
+    cfg = FdeConfig(dim=dim, k_sim=draw(st.integers(1, 10)), r_reps=draw(st.integers(1, 2)), seed=draw(st.integers(0, 9)))
+    return cfg, docs
+
+
+@settings(max_examples=150, deadline=None)
+@given(hamming_fill_cases(), st.sampled_from([64, encoding.BLOCK_TOKENS]))
+def test_hamming_fill_matches_scalar_oracle_per_cell(case, block_tokens):
+    cfg, docs = case
+    with mock.patch.object(encoding, "BLOCK_TOKENS", block_tokens):  # 64: the batch splits over many blocks
+        check_fill_against_scalar_oracles(docs, cfg)
+
+
+def test_hamming_fill_walks_while_cheaper_than_pairs_then_hands_over():
+    rng = np.random.default_rng(38)
+    handed = []
+
+    def spy(empty, *args):
+        handed.append(empty.size)
+        return fill_tokens(empty, *args)
+
+    fill_tokens = encoding._fill_tokens
+    with mock.patch.object(encoding, "_fill_tokens", spy):
+        # 60 tokens over 16 clusters: C(4, r) never exceeds 60, so the walk settles every cell
+        assert check_fill_against_scalar_oracles([rng.standard_normal((60, 3))], FdeConfig(dim=3, k_sim=4, r_reps=1)) > 0
+        assert handed == []
+        # 20 tokens over 1024 clusters: the walk settles the cells 1 bit from a token, and
+        # C(10, 2) = 45 lookups per cell outnumber the 20 pairs, so the rest go pairwise
+        cfg = FdeConfig(dim=8, k_sim=10, r_reps=1, seed=1)
+        empty = check_fill_against_scalar_oracles([rng.standard_normal((20, 8))], cfg)
+        assert len(handed) == 1 and 0 < handed[0] < empty
+        # 4 tokens: 10 lookups per cell outnumber the 4 pairs before the first step
+        handed.clear()
+        empty = check_fill_against_scalar_oracles([rng.standard_normal((4, 8))], cfg)
+        assert handed == [empty]
+        # many blocks of mixed documents
+        handed.clear()
+        docs = [rng.standard_normal((int(m), 8)) for m in rng.integers(1, 61, size=40)]
+        with mock.patch.object(encoding, "BLOCK_TOKENS", 64):
+            check_fill_against_scalar_oracles(docs, FdeConfig(dim=8, k_sim=6, r_reps=2, seed=2))
+        assert len(handed) > 1
+
+
+def test_kmeans_fill_takes_the_nearest_center_token():
+    rng = np.random.default_rng(39)
+    docs = [rng.standard_normal((int(m), 6)) for m in rng.integers(1, 30, size=12)]
+    cfg = with_kmeans_partitions(FdeConfig(dim=6, r_reps=2, seed=5), np.vstack(docs), b=24)
+    with mock.patch.object(encoding, "_hamming_fill", side_effect=AssertionError("sign-hash walk on k-means")):
+        assert check_fill_against_scalar_oracles(docs, cfg) > 0
+
+
 def test_doc_fill_memory_does_not_grow_with_the_cluster_count_squared():
     import tracemalloc
 
