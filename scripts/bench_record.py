@@ -41,8 +41,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines or not lines[0].startswith("# meta "):
-        sys.stderr.write(proc.stderr)
-        raise SystemExit(f"bench_record: {workload} seed {seed} failed (exit {proc.returncode})")
+        sys.stderr.write(proc.stderr + f"bench_record: {workload} seed {seed} failed (exit {proc.returncode})\n")
+        raise SystemExit(2)
     return json.loads(lines[0][len("# meta "):]), json.loads(lines[-1])
 
 
