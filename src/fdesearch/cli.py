@@ -10,9 +10,11 @@ Typical round trip:
 
 Every produced artifact embeds the resolved configuration (seed included)
 so results can be regenerated. A flat key=value config file can preset
-build flags (the FdeConfig parameter names, reps, kmeans_b and pq; any
-other key is an error); explicit flags win. ``synth --spec`` reads back a
-written synth.cfg.
+build flags (the FdeConfig parameter names, kmeans_b and pq; any other key
+is an error); explicit flags win. ``synth --spec`` reads back a written
+synth.cfg. Flag values are text parsed by the same field annotations as
+the preset files (dataio.fields_from_text), so a bad value fails the same
+way from either.
 """
 
 from __future__ import annotations
@@ -30,15 +32,24 @@ from .synth import SynthSpec, synth_gen
 from .util import TokenCorpus
 
 
-def _parse_tokens(text: str):
-    return dataio.fields_from_text(SynthSpec, {"tokens_per_doc": text}, "--tokens")["tokens_per_doc"]
+class _BuildSettings(FdeConfig):
+    """The build settings: the FdeConfig parameters, kmeans_b, and pq as C:G (c centers per group of g dims).
+
+    Never made; dataio.fields_from_text reads its annotations.
+    """
+
+    kmeans_b: int
+    pq: tuple[int, int]
 
 
-def _parse_pq(text: str) -> PqSpec:
-    if ":" not in text:
-        raise ValueError(f"--pq expects C:G (e.g. 256:8), got {text!r}")
-    c, g = text.split(":", 1)
-    return PqSpec(c=int(c), g=int(g))
+def _settings(path, args, cls, keys) -> dict:
+    """Typed settings from a key=value preset file (when path is given) and the flags set in args.
+
+    Both are text parsed by the annotations of cls (dataio.fields_from_text); flags win.
+    """
+    preset = dataio.fields_from_text(cls, dataio.read_config_file(path), path, names=keys) if path else {}
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+    return {**preset, **dataio.fields_from_text(cls, flags, "flags", names=keys)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,32 +60,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus/queries/qrels dataset")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--spec", help="key=value spec file (flags override)")
-    p.add_argument("--docs", type=int, dest="num_docs")
-    p.add_argument("--tokens", type=_parse_tokens, dest="tokens_per_doc", help="tokens per doc: N or LO:HI")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--clusters", type=int, dest="num_clusters")
-    p.add_argument("--noise", type=float)
-    p.add_argument("--queries", type=int, dest="num_queries")
-    p.add_argument("--query-tokens", type=int)
-    p.add_argument("--query-noise", type=float)
-    p.add_argument("--doc-bias", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--docs", dest="num_docs")
+    p.add_argument("--tokens", dest="tokens_per_doc", help="tokens per doc: N or LO:HI")
+    p.add_argument("--dim")
+    p.add_argument("--clusters", dest="num_clusters")
+    p.add_argument("--noise")
+    p.add_argument("--queries", dest="num_queries")
+    p.add_argument("--query-tokens")
+    p.add_argument("--query-noise")
+    p.add_argument("--doc-bias")
+    p.add_argument("--seed")
 
     p = sub.add_parser("build", help="encode a corpus into a searchable index file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="key=value config file (flags override)")
-    p.add_argument("--k-sim", type=int)
-    p.add_argument("--d-proj", type=int)
-    p.add_argument("--reps", type=int, dest="r_reps")
-    p.add_argument("--d-final", type=int)
-    p.add_argument("--no-fill-empty", action="store_false", dest="fill_empty", default=None)
-    p.add_argument("--partitioner", choices=["simhash", "kmeans"])
-    p.add_argument("--kmeans-b", type=int, help="centers for the kmeans partitioner")
+    p.add_argument("--k-sim")
+    p.add_argument("--d-proj")
+    p.add_argument("--reps", dest="r_reps")
+    p.add_argument("--d-final")
+    p.add_argument("--no-fill-empty", action="store_const", const="False", dest="fill_empty")
+    p.add_argument("--partitioner", help="simhash or kmeans")
+    p.add_argument("--kmeans-b", help="centers for the kmeans partitioner")
     p.add_argument("--kmeans-all-tokens", action="store_true",
-                   help="train kmeans partitions on all tokens instead of a 100k sample")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--pq", type=_parse_pq, help="compress encodings, format C:G (e.g. 256:8)")
+                   help="train kmeans partitions on all tokens instead of a sample")
+    p.add_argument("--seed")
+    p.add_argument("--pq", help="compress encodings, format C:G (e.g. 256:8)")
     p.add_argument("--normalize", action="store_true", help="normalize token rows on read")
     p.add_argument("--input-format", choices=["mvec", "text"], default="mvec")
 
@@ -111,35 +122,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    values = {}
-    if args.spec:
-        values = dataio.fields_from_text(SynthSpec, dataio.read_config_file(args.spec), args.spec)
-    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SynthSpec)}
-    values.update({k: v for k, v in flags.items() if v is not None})
-    spec = SynthSpec(**values)
+    spec = SynthSpec(**_settings(args.spec, args, SynthSpec, [f.name for f in dataclasses.fields(SynthSpec)]))
     paths = synth_gen(spec, args.out)
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0
 
 
-def _read_build_preset(path) -> dict:
-    """Build settings from a key=value file: FdeConfig parameters (reps spells r_reps), kmeans_b, pq."""
-    raw = dataio.read_config_file(path)
-    if "reps" in raw:
-        if "r_reps" in raw:
-            raise ValueError(f"{path}: give reps or r_reps, not both")
-        raw["r_reps"] = raw.pop("reps")
-    preset = {key: parse(raw.pop(key)) for key, parse in (("kmeans_b", int), ("pq", _parse_pq)) if key in raw}
-    return {**preset, **dataio.fields_from_text(FdeConfig, raw, path, names=PARAM_NAMES)}
-
-
 def _cmd_build(args) -> int:
-    preset = _read_build_preset(args.config) if args.config else {}
-    flags = {k: getattr(args, k, None) for k in (*PARAM_NAMES, "kmeans_b", "pq")}
-    settings = {**preset, **{k: v for k, v in flags.items() if v is not None}}
+    settings = _settings(args.config, args, _BuildSettings, (*PARAM_NAMES, "kmeans_b", "pq"))
     kmeans_b = settings.pop("kmeans_b", 16)
-    pq = settings.pop("pq", None)
+    pq = PqSpec(*settings.pop("pq")) if "pq" in settings else None
 
     read = dataio.read_text_embeddings if args.input_format == "text" else dataio.read_mvec
     records = read(args.corpus, normalize=args.normalize)
@@ -147,8 +140,10 @@ def _cmd_build(args) -> int:
     config = FdeConfig(**settings)
     if config.partitioner == "kmeans":
         tokens = TokenCorpus([m for _, m in records]).tokens
-        config = with_kmeans_partitions(config, tokens, kmeans_b,
-                                        max_tokens=None if args.kmeans_all_tokens else 100_000)
+        if args.kmeans_all_tokens:
+            config = with_kmeans_partitions(config, tokens, kmeans_b, max_tokens=None)
+        else:
+            config = with_kmeans_partitions(config, tokens, kmeans_b)
 
     ids = [i for i, _ in records]
     index = build_index([m for _, m in records], config, pq=pq, doc_ids=ids)

@@ -7,8 +7,8 @@
   (encoding config, fingerprint, storage kind, shapes), doc ids as u64,
   optional k-means partition centers (f64), then the payload: dense f32
   encodings, or a PQ codebook (f64 centers + u16 effective center counts)
-  followed by u8 codes, one row of num_groups bytes per document (read
-  into the group-major layout of pq.py).
+  followed by u8 codes, one row of num_groups bytes per document (the
+  PQ scan holds them group-major, see pq.py).
 * qrels: tab-separated ``query_id<TAB>doc_id<TAB>grade`` lines.
 * run: tab-separated ``query_id<TAB>doc_id<TAB>rank<TAB>score`` lines;
   ``#`` lines carry the resolved configuration that produced the run.
@@ -225,7 +225,7 @@ def fields_from_text(cls, raw: Mapping, where, names: Sequence[str] | None = Non
     out = {}
     for key, text in raw.items():
         if key not in allowed:
-            raise ValueError(f"{where}: unknown key {key!r}; the {cls.__name__} fields are {', '.join(allowed)}")
+            raise ValueError(f"{where}: unknown key {key!r}; expected one of {', '.join(allowed)}")
         try:
             out[key] = _from_text(allowed[key], text)
         except ValueError as e:
@@ -338,8 +338,7 @@ def read_index(path, corpus_records: Sequence | None = None) -> FdeIndex:
                              f"does not fit fde_dim={dim} with one-byte codes")
         effective = rd.array("<u2", groups, "effective center counts").astype(np.int64)
         centers = rd.array("<f8", groups * c * g, "codebook").reshape(groups, c, g)
-        # the one copy of the (n, groups) row-major codes is group-major, (groups, n) C-contiguous
-        codes = rd.view("u1", num_docs * groups, "codes").reshape(num_docs, groups).T.copy().T
+        codes = rd.view("u1", num_docs * groups, "codes").reshape(num_docs, groups)  # the scan makes its copy
         codebook = PqCodebook(centers=centers, effective_c=effective)
         index = FdeIndex(doc_ids, config, codebook=codebook, codes=codes)
     rd.done()

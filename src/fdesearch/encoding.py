@@ -93,6 +93,8 @@ class FdeConfig:
         if self.d_final is not None and self.d_final < 1:
             raise ValueError(f"d_final must be >= 1, got {self.d_final}")
         if self.kmeans_partitioners is not None:
+            if self.partitioner != "kmeans":
+                raise ValueError(f"k-means partitioners need partitioner='kmeans', got {self.partitioner!r}")
             parts = self.kmeans_partitioners
             if len(parts) != self.r_reps:
                 raise ValueError(f"need one k-means partitioner per repetition: got {len(parts)} for r_reps={self.r_reps}")

@@ -15,7 +15,8 @@ Vocabulary used throughout:
 
 The drivers (grid search over encoding parameters, seed-variance study,
 candidates-to-threshold tables) operate on in-memory corpora and emit
-plain rows that serialize to JSONL or an aligned text table.
+plain rows that serialize to JSONL or an aligned text table. The runs
+they build key queries and documents by position in the given sequences.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .chamfer import brute_force_topk
-from .encoding import FdeConfig, _encode, config_fingerprint, fde_dim, generate_query_fdes
+from .encoding import FdeConfig, config_fingerprint, fde_dim, generate_doc_fdes, generate_query_fdes
 from .util import TokenCorpus, top_k
 
 
@@ -72,30 +73,25 @@ def oracle_qrels(one_nn: Mapping) -> dict:
     return {qid: {doc: 1} for qid, doc in one_nn.items()}
 
 
-def chamfer_one_nn(queries: Sequence, corpus: Sequence,
-                   query_ids: Sequence | None = None,
-                   doc_ids: Sequence[int] | None = None) -> dict:
-    """Exact Chamfer 1-nearest neighbor per query (ground truth); the corpus is stacked once."""
-    qids = list(query_ids) if query_ids is not None else list(range(len(queries)))
-    tokens = TokenCorpus(corpus, doc_ids)
-    return {qids[i]: brute_force_topk(queries[i], tokens, 1)[0][0]
-            for i in range(len(queries))}
+def chamfer_one_nn(queries: Sequence, corpus: Sequence) -> dict:
+    """Exact Chamfer 1-nearest neighbor per query position, as a corpus position (ground truth).
+
+    The corpus is stacked once.
+    """
+    tokens = TokenCorpus(corpus)
+    return {i: brute_force_topk(Q, tokens, 1)[0][0] for i, Q in enumerate(queries)}
 
 
 def fde_rankings(corpus: Sequence, queries: Sequence, config: FdeConfig,
-                 depth: int | None = None,
-                 query_ids: Sequence | None = None,
-                 doc_ids: Sequence[int] | None = None) -> dict:
-    """Offline run: rank all documents per query by encoding dot product.
+                 depth: int | None = None) -> dict:
+    """Offline run: rank all document positions per query position by encoding dot product.
 
     No reranking; this measures the encoding itself as a retrieval proxy.
-    The corpus is checked and stacked once, as a TokenCorpus with doc_ids.
     """
-    docs = TokenCorpus(corpus, doc_ids, config.dim)
-    qids = list(query_ids) if query_ids is not None else list(range(len(queries)))
-    dots = generate_query_fdes(queries, config) @ _encode(docs, "doc", config, np.float64).T  # (queries, docs)
-    order = top_k(docs.ids, dots, len(docs) if depth is None else depth)
-    return dict(zip(qids, docs.ids[order].tolist()))
+    docs = generate_doc_fdes(corpus, config)
+    dots = generate_query_fdes(queries, config) @ docs.T  # (queries, docs)
+    order = top_k(np.arange(len(docs)), dots, len(docs) if depth is None else depth)
+    return dict(enumerate(order.tolist()))
 
 
 @dataclass(frozen=True)
@@ -111,8 +107,7 @@ class GridRow:
 
 def grid_search(corpus: Sequence, queries: Sequence, qrels: Mapping,
                 grid: Sequence[tuple[int, int, int]], n_values: Sequence[int],
-                seed: int = 0, query_ids: Sequence | None = None,
-                doc_ids: Sequence[int] | None = None) -> list[GridRow]:
+                seed: int = 0) -> list[GridRow]:
     """Sweep (r_reps, k_sim, d_proj) triples and report recall per config.
 
     Rows come back sorted by output dimension. A row is flagged Pareto
@@ -127,8 +122,7 @@ def grid_search(corpus: Sequence, queries: Sequence, qrels: Mapping,
     rows = []
     for (r_reps, k_sim, d_proj) in grid:
         config = FdeConfig(dim=dim, k_sim=k_sim, d_proj=d_proj, r_reps=r_reps, seed=seed)
-        run = fde_rankings(corpus, queries, config, depth=max(n_values),
-                           query_ids=query_ids, doc_ids=doc_ids)
+        run = fde_rankings(corpus, queries, config, depth=max(n_values))
         fp = config_fingerprint(config)
         recalls = {int(n): recall_at_n(run, qrels, n, fingerprint=fp).value for n in n_values}
         rows.append(GridRow(r_reps=r_reps, k_sim=k_sim, d_proj=d_proj,
@@ -152,28 +146,15 @@ class VarianceReport:
 
 
 def variance_study(corpus: Sequence, queries: Sequence, qrels: Mapping,
-                   config: FdeConfig, num_seeds: int, n_values: Sequence[int],
-                   query_ids: Sequence | None = None,
-                   doc_ids: Sequence[int] | None = None,
-                   seeds: Sequence[int] | None = None) -> VarianceReport:
-    """Regenerate all encodings under num_seeds seeds and report recall spread.
-
-    Seeds default to config.seed, config.seed+1, ...; pass seeds explicitly
-    to control them (repeats are allowed, giving zero spread).
-    """
+                   config: FdeConfig, num_seeds: int, n_values: Sequence[int]) -> VarianceReport:
+    """Regenerate all encodings under seeds config.seed, config.seed+1, ... and report recall spread."""
     if num_seeds < 2:
         raise ValueError(f"need at least 2 seeds, got {num_seeds}")
-    if seeds is not None:
-        if len(seeds) != num_seeds:
-            raise ValueError(f"got {len(seeds)} seeds for num_seeds={num_seeds}")
-        seeds = tuple(int(s) for s in seeds)
-    else:
-        seeds = tuple(config.seed + i for i in range(num_seeds))
+    seeds = tuple(config.seed + i for i in range(num_seeds))
     per_seed: dict[int, list[float]] = {int(n): [] for n in n_values}
     for s in seeds:
         cfg = dataclasses.replace(config, seed=s)
-        run = fde_rankings(corpus, queries, cfg, depth=max(n_values),
-                           query_ids=query_ids, doc_ids=doc_ids)
+        run = fde_rankings(corpus, queries, cfg, depth=max(n_values))
         for n in n_values:
             per_seed[int(n)].append(recall_at_n(run, qrels, int(n)).value)
     mean = {n: float(np.mean(v)) for n, v in per_seed.items()}

@@ -42,7 +42,7 @@ class SynthSpec:
     sampled uniformly per document. noise is the per-coordinate standard
     deviation of the Gaussian perturbation added before renormalizing.
     query_tokens=None takes half of the source document's tokens
-    (at least 1). relevance_rule currently supports only "planted".
+    (at least 1).
     """
 
     num_docs: int = 1000
@@ -54,7 +54,6 @@ class SynthSpec:
     query_tokens: int | None = None
     query_noise: float | None = None  # None -> QUERY_NOISE_FACTOR * noise
     doc_bias: float = 0.0  # shared per-document token offset scale
-    relevance_rule: str = "planted"
     seed: int = 0
 
     def __post_init__(self):
@@ -69,8 +68,6 @@ class SynthSpec:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.relevance_rule != "planted":
-            raise ValueError(f"unsupported relevance rule {self.relevance_rule!r}")
 
     @property
     def token_range(self) -> tuple[int, int]:

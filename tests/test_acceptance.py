@@ -48,7 +48,7 @@ def default_data():
     corpus = [m for _, m in docs]
     qmats = [m for _, m in queries]
     qids = [i for i, _ in queries]
-    one_nn = chamfer_one_nn(qmats, corpus, query_ids=qids)
+    one_nn = chamfer_one_nn(qmats, corpus)
     return corpus, qmats, qids, qrels, one_nn
 
 
@@ -143,7 +143,7 @@ def test_criterion_05_recall_grows_with_dimension(default_data):
     started = time.perf_counter()
     corpus, qmats, qids, _, one_nn = default_data
     grid = [(8, 3, 8), (16, 4, 8), (20, 5, 8), (20, 5, 16)]
-    rows = grid_search(corpus, qmats, oracle_qrels(one_nn), grid, [10], query_ids=qids)
+    rows = grid_search(corpus, qmats, oracle_qrels(one_nn), grid, [10])
     dims = [r.fde_dim for r in rows]
     recalls = [r.recalls[10] for r in rows]
     elapsed = time.perf_counter() - started
@@ -259,7 +259,7 @@ def test_criterion_08_ball_carving_safety(default_data, default_index):
 
 def test_criterion_09_seed_variance(default_data):
     corpus, qmats, qids, qrels, _ = default_data
-    rep = variance_study(corpus, qmats, qrels, DEFAULT_CFG, 10, [100], query_ids=qids)
+    rep = variance_study(corpus, qmats, qrels, DEFAULT_CFG, 10, [100])
     passed = rep.std[100] <= 0.02
     report(9, "recall variance across seeds", passed,
            f"Recall@100 over 10 seeds: mean {rep.mean[100]:.4f}, std {rep.std[100]:.4f} <= 0.02")

@@ -70,7 +70,7 @@ def test_inspect_reports_dimension_arithmetic(dataset_dir, tmp_path, capsys):
 
 def test_build_with_pq_and_config_file(dataset_dir, tmp_path, capsys):
     cfg = tmp_path / "build.cfg"
-    cfg.write_text("k_sim=3\nreps=4\nd_proj=8\npq=16:8\nseed=2\n", encoding="utf-8")
+    cfg.write_text("k_sim=3\nr_reps=4\nd_proj=8\npq=16:8\nseed=2\n", encoding="utf-8")
     index = tmp_path / "pq.mvix"
     rc = cli_main(["build", "--corpus", str(dataset_dir / "corpus.mvec"),
                    "--out", str(index), "--config", str(cfg), "--reps", "5"])

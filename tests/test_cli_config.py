@@ -55,6 +55,26 @@ def test_build_config_rejects_unknown_keys_and_bad_values(corpus_path, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, key", [(["build", "--k-sim", "three"], "k_sim"),
+                                       (["synth", "--tokens", "3:4:5"], "tokens_per_doc")],
+                         ids=["build-k_sim", "synth-tokens_per_doc"])
+def test_bad_flag_values_fail_like_bad_preset_values(corpus_path, tmp_path, capsys, argv, key):
+    paths = ["--corpus", str(corpus_path)] if argv[0] == "build" else []
+    assert cli_main([*argv, *paths, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: flags: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_flag_text_sets_each_build_setting(corpus_path, tmp_path):
+    rc, out = build(corpus_path, tmp_path, "fill_empty=True\nr_reps=2\n", "--no-fill-empty", "--partitioner", "kmeans",
+                    "--kmeans-b", "4", "--kmeans-all-tokens", "--pq", "16:8")
+    assert rc == 0
+    index = read_index(out)
+    assert index.config.fill_empty is False
+    assert (index.config.partitioner, index.config.num_clusters, index.storage) == ("kmeans", 4, "pq")
+
+
 def test_query_run_meta_names_every_config_parameter(corpus_path, tmp_path):
     rc, index = build(corpus_path, tmp_path, "k_sim=2\nr_reps=2\n")
     assert rc == 0

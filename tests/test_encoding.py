@@ -310,6 +310,14 @@ def test_kmeans_partitioned_encoding():
         assert np.allclose(block * np.sqrt(2), P[0])
 
 
+def test_kmeans_partitioners_need_the_kmeans_partitioner():
+    """A sign-hash config carrying k-means partitioners would encode with sign hashing and write a
+    kmeans section that read_index rejects; the config itself refuses the pair."""
+    cfg = with_kmeans_partitions(FdeConfig(dim=8, r_reps=2, seed=3), unit_rows(np.random.default_rng(2), 50, 8), b=4)
+    with pytest.raises(ValueError, match="partitioner='kmeans'"):
+        dataclasses.replace(cfg, partitioner="simhash")
+
+
 def test_fingerprint_tracks_every_parameter():
     base = FdeConfig(dim=8, k_sim=3, d_proj=4, r_reps=2, seed=1)
     assert config_fingerprint(base) == config_fingerprint(FdeConfig(dim=8, k_sim=3, d_proj=4, r_reps=2, seed=1))

@@ -74,8 +74,8 @@ def test_recall_input_validation():
 def test_one_recall_full_depth_is_always_one(tiny_dataset):
     corpus, qmats, qids, _ = tiny_dataset
     cfg = FdeConfig(dim=16, k_sim=3, d_proj=4, r_reps=2, seed=0)
-    run = fde_rankings(corpus, qmats, cfg, query_ids=qids)
-    one_nn = chamfer_one_nn(qmats, corpus, query_ids=qids)
+    run = fde_rankings(corpus, qmats, cfg)
+    one_nn = chamfer_one_nn(qmats, corpus)
     assert recall_at_n(run, oracle_qrels(one_nn), len(corpus)).value == 1.0
 
 
@@ -88,15 +88,15 @@ def test_one_recall_at_one_for_identical_rankings():
 def test_one_recall_matches_argmax_agreement_count(tiny_dataset):
     corpus, qmats, qids, _ = tiny_dataset
     cfg = FdeConfig(dim=16, k_sim=2, d_proj=4, r_reps=1, seed=3)
-    run = fde_rankings(corpus, qmats, cfg, query_ids=qids)
-    one_nn = chamfer_one_nn(qmats, corpus, query_ids=qids)
+    run = fde_rankings(corpus, qmats, cfg)
+    one_nn = chamfer_one_nn(qmats, corpus)
     agreements = sum(1 for q in qids if run[q][0] == one_nn[q])
     assert recall_at_n(run, oracle_qrels(one_nn), 1).value == pytest.approx(agreements / len(qids))
 
 
 def test_single_config_grid(tiny_dataset):
     corpus, qmats, qids, qrels = tiny_dataset
-    rows = grid_search(corpus, qmats, qrels, [(2, 3, 4)], [10], query_ids=qids)
+    rows = grid_search(corpus, qmats, qrels, [(2, 3, 4)], [10])
     assert len(rows) == 1
     assert rows[0].fde_dim == 2 * 8 * 4
     assert rows[0].pareto is True
@@ -104,9 +104,9 @@ def test_single_config_grid(tiny_dataset):
 
 def test_dominated_grid_row_is_flagged(tiny_dataset):
     corpus, qmats, qids, _ = tiny_dataset
-    one_nn = chamfer_one_nn(qmats, corpus, query_ids=qids)
+    one_nn = chamfer_one_nn(qmats, corpus)
     rows = grid_search(corpus, qmats, oracle_qrels(one_nn),
-                       [(1, 2, 4), (4, 3, 8)], [5], query_ids=qids)
+                       [(1, 2, 4), (4, 3, 8)], [5])
     by_dim = {r.fde_dim: r for r in rows}
     small, large = by_dim[16], by_dim[256]
     if large.recalls[5] > small.recalls[5]:
@@ -125,18 +125,10 @@ def test_grid_requires_inputs(tiny_dataset):
         grid_search(corpus, qmats, qrels, [(1, 2, 4)], [])
 
 
-def test_variance_study_identical_seeds_have_zero_spread(tiny_dataset):
-    corpus, qmats, qids, qrels = tiny_dataset
-    cfg = FdeConfig(dim=16, k_sim=3, d_proj=4, r_reps=2, seed=6)
-    rep = variance_study(corpus, qmats, qrels, cfg, 2, [10], query_ids=qids, seeds=[6, 6])
-    assert rep.std[10] == 0.0
-    assert rep.mean[10] == rep.per_seed[10][0]
-
-
 def test_variance_study_reports_spread(tiny_dataset):
     corpus, qmats, qids, qrels = tiny_dataset
     cfg = FdeConfig(dim=16, k_sim=3, d_proj=4, r_reps=2, seed=6)
-    rep = variance_study(corpus, qmats, qrels, cfg, 3, [5, 10], query_ids=qids)
+    rep = variance_study(corpus, qmats, qrels, cfg, 3, [5, 10])
     assert rep.seeds == (6, 7, 8)
     for n in (5, 10):
         assert len(rep.per_seed[n]) == 3

@@ -61,8 +61,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SynthSpec(tokens_per_doc=(5, 3))
     with pytest.raises(ValueError):
-        SynthSpec(relevance_rule="random")
-    with pytest.raises(ValueError):
         SynthSpec(doc_bias=-1.0)
 
 

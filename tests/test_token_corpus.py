@@ -36,9 +36,9 @@ def attach_corpus(docs, ids):
 ENTRY_POINTS = {
     "generate_query_fdes": lambda docs, ids: generate_query_fdes(docs, CFG),
     "generate_doc_fdes": lambda docs, ids: generate_doc_fdes(docs, CFG),
-    "fde_rankings": lambda docs, ids: fde_rankings(docs, [Q], CFG, doc_ids=ids),
+    "fde_rankings": lambda docs, ids: fde_rankings(docs, [Q], CFG),
     "brute_force_topk": lambda docs, ids: brute_force_topk(Q, docs, 3, doc_ids=ids),
-    "chamfer_one_nn": lambda docs, ids: chamfer_one_nn([Q], docs, doc_ids=ids),
+    "chamfer_one_nn": lambda docs, ids: chamfer_one_nn([Q], docs),
     "build_index": lambda docs, ids: build_index(docs, CFG, doc_ids=ids),
     "attach_corpus": attach_corpus,
     "build_token_index": lambda docs, ids: build_token_index(docs, doc_ids=ids),
@@ -46,7 +46,7 @@ ENTRY_POINTS = {
     "query": lambda docs, ids: query(build_index(clean_docs(), CFG), docs[2], 3, 2),
     "sv_candidates": lambda docs, ids: sv_candidates(docs[2], build_token_index(clean_docs()), 2, dedup=False),
 }
-TAKES_IDS = {"fde_rankings", "brute_force_topk", "chamfer_one_nn", "build_index", "build_token_index"}
+TAKES_IDS = {"brute_force_topk", "build_index", "build_token_index"}
 ONE_QUERY = {"query", "sv_candidates"}
 
 
