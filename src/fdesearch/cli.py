@@ -131,6 +131,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_build(args) -> int:
     settings = _settings(args.config, args, _BuildSettings, (*PARAM_NAMES, "kmeans_b", "pq"))
+    kmeans_set = [name for name, given in (("kmeans_b", "kmeans_b" in settings),
+                                           ("--kmeans-all-tokens", args.kmeans_all_tokens)) if given]
     kmeans_b = settings.pop("kmeans_b", 16)
     pq = PqSpec(*settings.pop("pq")) if "pq" in settings else None
 
@@ -138,6 +140,9 @@ def _cmd_build(args) -> int:
     records = read(args.corpus, normalize=args.normalize)
     settings.setdefault("dim", records[0][1].shape[1])
     config = FdeConfig(**settings)
+    if kmeans_set and config.partitioner != "kmeans":
+        raise ValueError(f"{' and '.join(kmeans_set)} set with partitioner={config.partitioner}: "
+                         "k-means settings need partitioner=kmeans")
     if config.partitioner == "kmeans":
         tokens = TokenCorpus([m for _, m in records]).tokens
         if args.kmeans_all_tokens:

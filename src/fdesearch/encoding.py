@@ -179,9 +179,10 @@ def with_kmeans_partitions(config: FdeConfig, tokens, b: int,
     tokens is the pool of token embeddings (typically all corpus tokens
     stacked). Each repetition trains B centers on its own seeded sample of
     up to max_tokens rows; pass max_tokens=None to train every repetition
-    on the full pool.
+    on the full pool. A float32 pool stays float32: only the rows a
+    repetition samples are widened, by its training.
     """
-    pool = as_matrix(tokens)
+    pool = as_matrix(tokens, None)
     parts = []
     for rep in range(config.r_reps):
         sample = pool
@@ -229,6 +230,9 @@ def _final_project(Va: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 BLOCK_TOKENS = 1 << 14  # tokens per block of documents; keeps the per-cell temporaries cache-sized
+# fewest stacked tokens a block's hash and projection products run over (see _encode): at this size
+# OpenBLAS rounds each row of a product with two or more columns as the whole-stack product does
+_PRODUCT_ROWS = 1 << 12
 
 
 def _fill_tokens(empty: np.ndarray, b: int, starts: np.ndarray, lengths: np.ndarray,
@@ -332,15 +336,24 @@ def _rep_block(idx: np.ndarray, proj: np.ndarray, d2: np.ndarray | None, lengths
 def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype) -> np.ndarray:
     """Shared query/document encoder over the token sets of a corpus; (n, fde_dim) of dtype.
 
-    tokens must hold config.dim columns. Each repetition assigns and
-    projects the stacked tokens of the whole batch at once, in float64,
-    then builds the encodings of consecutive documents holding about
-    BLOCK_TOKENS tokens at a time (_rep_block), so per-cell temporaries
-    stay small whatever the batch size. Without d_final the result is
+    tokens must hold config.dim columns. The documents go in blocks of
+    consecutive documents holding about BLOCK_TOKENS tokens (a served
+    query is one block). Each block is widened to float64 on its own, and
+    every repetition assigns, projects and encodes it (_rep_block), so
+    neither a float64 copy of the whole stack nor a whole-stack
+    per-repetition temporary is ever held. Without d_final the result is
     written straight in dtype; with d_final the concatenation is assembled
     and projected in float64, and the projection is cast.
+
+    A BLAS product rounds its rows differently when it has few rows (a
+    one-row product is a matrix-vector product, a small one takes another
+    kernel), so each block's products run over a window of the stack that
+    holds the block and at least _PRODUCT_ROWS rows, or the whole stack
+    when it is shorter: a stack of up to _PRODUCT_ROWS tokens gets exactly
+    the whole-stack products, and a longer one gets products of a size
+    that rounds like them.
     """
-    stacked, lengths = tokens.tokens.astype(np.float64, copy=False), tokens.lengths
+    lengths = tokens.lengths
     reps, final = config._draws
     b = config.num_clusters
     t = config.proj_dim
@@ -348,17 +361,21 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype) -> np.ndar
     ends = np.cumsum(lengths)
     # a block holds the documents whose first token falls in one BLOCK_TOKENS span
     bounds = [0, *(np.flatnonzero(np.diff((ends - lengths) // BLOCK_TOKENS)) + 1), n]
-    blocks = [(slice(lo, hi), slice(ends[lo] - lengths[lo], ends[hi - 1]),  # documents, their tokens,
-               np.repeat(np.arange(hi - lo) * b, lengths[lo:hi]))  # B * each token's document in the block
-              for lo, hi in zip(bounds, bounds[1:])]
     out = np.empty((n, r, b, t), dtype=np.float64 if final is not None else dtype)
 
-    for rep, (part, S) in enumerate(reps):
-        idx, d2 = assign_with_dists(part, stacked)
-        proj = stacked if S is None else (stacked @ S.T) / np.sqrt(t)
-        for docs, toks, owner_base in blocks:
-            _rep_block(idx[toks], proj[toks], None if d2 is None else d2[toks], lengths[docs], owner_base,
-                       side, config, out[docs, rep])
+    for lo, hi in zip(bounds, bounds[1:]):
+        first, last = ends[lo] - lengths[lo], ends[hi - 1]  # the block's tokens
+        stop = min(ends[-1], max(last, first + _PRODUCT_ROWS))
+        start = max(0, min(first, stop - _PRODUCT_ROWS))
+        window = tokens.tokens[start:stop].astype(np.float64, copy=False)
+        toks = slice(first - start, last - start)
+        owner_base = np.repeat(np.arange(hi - lo) * b, lengths[lo:hi])  # B * each token's document in the block
+        for rep, (part, S) in enumerate(reps):
+            idx, d2 = assign_with_dists(part, window)
+            proj = window if S is None else (window @ S.T) / np.sqrt(t)
+            _rep_block(idx[toks], proj[toks], None if d2 is None else d2[toks], lengths[lo:hi], owner_base,
+                       side, config, out[lo:hi, rep])
+        del window, idx, d2, proj  # freed before the next block is widened
     out = out.reshape(n, r * b * t)
     if final is not None:
         out = _final_project(out, final).astype(dtype, copy=False)

@@ -13,6 +13,11 @@ Training runs k-means per group on one shared seeded sample of at most
 training vectors' codes: a group whose last Lloyd update moved no center
 has them already as its labels, so only the other groups are encoded.
 
+A float32 input matrix is kept float32, and so is its sample: only each
+(n, G) group slice is widened to float64, as it is cut. The slices hold
+the same values as slices of a float64 copy, so codebooks and codes are
+those of the float64 cast, bit for bit, without ever holding that copy.
+
 Codes are held group-major: one C-contiguous (groups, n) uint8 matrix, so
 a group's codes for every vector are one contiguous row. The public code
 matrix is its (n, groups) transpose view; the index file stores the
@@ -81,7 +86,7 @@ class PqCodebook:
 
 def pq_train(vectors, c: int = 256, g: int = 8, seed: int = 0) -> PqCodebook:
     """Train a codebook with c centers per group of g dimensions."""
-    return _train(as_matrix(vectors), c, g, seed)[0]
+    return _train(as_matrix(vectors, None), c, g, seed)[0]
 
 
 def pq_train_encode(vectors, c: int = 256, g: int = 8, seed: int = 0) -> tuple[PqCodebook, np.ndarray]:
@@ -92,7 +97,7 @@ def pq_train_encode(vectors, c: int = 256, g: int = 8, seed: int = 0) -> tuple[P
     codes. The other groups, and all groups when training used a
     subsample, run pq_encode_many's nearest-center pass.
     """
-    V = as_matrix(vectors)
+    V = as_matrix(vectors, None)
     codebook, labels = _train(V, c, g, seed)
     codes = np.empty((codebook.num_groups, V.shape[0]), dtype=np.uint8)
     for grp, group_labels in enumerate(labels):
@@ -117,7 +122,7 @@ def _train(V: np.ndarray, c: int, g: int, seed: int) -> tuple[PqCodebook, list]:
     effective = np.zeros(num_groups, dtype=np.int64)
     labels = []
     for grp in range(num_groups):
-        sl = sample[:, grp * g:(grp + 1) * g]
+        sl = _group_slice(sample, grp, g)
         grp_centers, _, grp_labels = lloyd_kmeans(sl, c, seed, rep=grp)
         effective[grp] = grp_centers.shape[0]
         centers[grp, :grp_centers.shape[0]] = grp_centers
@@ -129,7 +134,7 @@ def _train(V: np.ndarray, c: int, g: int, seed: int) -> tuple[PqCodebook, list]:
 def pq_encode_many(codebook: PqCodebook, V) -> np.ndarray:
     """Encode rows of V; returns (n, num_groups) uint8 codes, the transpose
     view of a group-major (num_groups, n) matrix."""
-    Va = as_matrix(V)
+    Va = as_matrix(V, None)
     if Va.shape[1] != codebook.dim:
         raise ValueError(f"dimension mismatch: vectors have d={Va.shape[1]}, codebook expects {codebook.dim}")
     codes = np.empty((codebook.num_groups, Va.shape[0]), dtype=np.uint8)
@@ -138,11 +143,14 @@ def pq_encode_many(codebook: PqCodebook, V) -> np.ndarray:
     return codes.T
 
 
+def _group_slice(V: np.ndarray, grp: int, g: int) -> np.ndarray:
+    """Group grp's (n, g) columns of V as a contiguous float64 copy: a strided slice slows every product."""
+    return np.ascontiguousarray(V[:, grp * g:(grp + 1) * g], dtype=np.float64)
+
+
 def _nearest_centers(codebook: PqCodebook, V: np.ndarray, grp: int) -> np.ndarray:
-    g = codebook.group_dim
     cc = codebook.centers[grp, :codebook.effective_c[grp]]
-    sl = np.ascontiguousarray(V[:, grp * g:(grp + 1) * g])  # as in lloyd_kmeans: a strided slice slows the product
-    return np.argmin(sq_dists(sl, cc), axis=1)  # ties -> lowest center
+    return np.argmin(sq_dists(_group_slice(V, grp, codebook.group_dim), cc), axis=1)  # ties -> lowest center
 
 
 def check_code_matrix(codebook: PqCodebook, codes) -> np.ndarray:

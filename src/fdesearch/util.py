@@ -37,9 +37,13 @@ def derive_rng(seed: int, purpose: int, rep: int = 0) -> np.random.Generator:
 def as_matrix(x, dtype=np.float64) -> np.ndarray:
     """Coerce an array-like to a 2-D matrix of dtype (float64 by default).
 
-    Raises ValueError for anything that is not a nonempty (m, d) matrix
-    with m >= 1 and d >= 1.
+    dtype=None keeps a float32 array float32 and makes anything else
+    float64, so float32 input is not widened and float64 input is not
+    rounded. Raises ValueError for anything that is not a nonempty (m, d)
+    matrix with m >= 1 and d >= 1.
     """
+    if dtype is None:
+        dtype = np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
     data = np.asarray(x, dtype=dtype)
     if data.ndim != 2:
         raise ValueError(f"expected a 2-D (rows, dim) matrix, got ndim={data.ndim}")
@@ -71,7 +75,7 @@ class TokenCorpus:
 
     def __init__(self, docs: Sequence, ids: Sequence[int] | None = None, dim: int | None = None,
                  name: str = "document"):
-        mats = [as_matrix(m, np.float32 if getattr(m, "dtype", None) == np.float32 else np.float64) for m in docs]
+        mats = [as_matrix(m, None) for m in docs]
         if not mats:
             raise ValueError("corpus is empty")
         n = len(mats)

@@ -102,3 +102,18 @@ def test_synth_spec_rejects_unknown_keys_and_bad_values(tmp_path, capsys, line):
     spec.write_text(line + "\n", encoding="utf-8")
     assert cli_main(["synth", "--out", str(tmp_path / "out"), "--spec", str(spec)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, flags, names", [
+    ("r_reps=2\n", ["--kmeans-b", "4"], "kmeans_b set"),
+    ("r_reps=2\n", ["--kmeans-all-tokens"], "--kmeans-all-tokens set"),
+    ("r_reps=2\nkmeans_b=4\n", ["--kmeans-all-tokens"], "kmeans_b and --kmeans-all-tokens set"),
+    ("r_reps=2\npartitioner=kmeans\nkmeans_b=4\n", ["--partitioner", "simhash"], "kmeans_b set"),
+], ids=["flag", "all-tokens", "preset-and-flag", "flag-overrides-partitioner"])
+def test_build_rejects_kmeans_settings_without_the_kmeans_partitioner(corpus_path, tmp_path, capsys,
+                                                                     text, flags, names):
+    rc, out = build(corpus_path, tmp_path, text, *flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {names} with partitioner=simhash") and "partitioner=kmeans" in err
+    assert not out.exists()

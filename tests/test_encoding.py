@@ -462,6 +462,26 @@ def test_build_index_allocates_no_float64_copy_of_the_encodings():
     assert peak < payload + 6 * input_bytes
 
 
+def test_build_index_widens_one_block_of_tokens_at_a_time():
+    import tracemalloc
+
+    rng = np.random.default_rng(40)
+    docs = [rng.standard_normal((32, 32)).astype(np.float32) for _ in range(1000)]  # 32000 tokens
+    cfg = FdeConfig(dim=32, k_sim=2, d_proj=8, r_reps=2)  # a small payload: 64 dims a document
+    payload = len(docs) * fde_dim(cfg) * 4
+    wide_stack = sum(d.size for d in docs) * 8  # a float64 copy of every token
+    with mock.patch.object(encoding, "BLOCK_TOKENS", 256):  # 125 blocks
+        build_index(docs[:2], cfg)
+        tracemalloc.start()
+        try:
+            build_index(docs, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the float32 stack the index keeps is half the float64 copy; the block temporaries are small
+    assert peak < wide_stack + payload
+
+
 def test_fill_memory_does_not_pad_to_the_longest_document():
     import tracemalloc
 
@@ -580,6 +600,23 @@ def test_batch_encoder_equals_the_per_document_loop(case, block_tokens):
         assert same_bits(build_index(docs, cfg).dense, want_doc.astype(np.float32))
 
 
+@pytest.mark.parametrize("block_tokens", [3, 200, 5000])
+def test_blocks_of_a_long_stack_encode_as_one_block(block_tokens):
+    """Past _PRODUCT_ROWS tokens each block's products run over a window of the stack: single-token
+    documents and short trailing blocks still get the rows of the whole-stack product. The tokens are
+    float64, whose products with the +-1 projection round (float32 tokens' mostly do not)."""
+    rng = np.random.default_rng(41)
+    lengths = [*rng.integers(1, 40, size=300), 1, 1, 2, 1]
+    docs = [rng.standard_normal((int(m), 32)) for m in lengths]
+    assert sum(lengths) > encoding._PRODUCT_ROWS
+    for cfg in (FdeConfig(dim=32, k_sim=5, d_proj=8, r_reps=2, seed=1),
+                with_kmeans_partitions(FdeConfig(dim=32, d_proj=8, r_reps=2, seed=2), np.vstack(docs), b=6)):
+        whole = generate_doc_fdes(docs, cfg), generate_query_fdes(docs, cfg)  # one block
+        with mock.patch.object(encoding, "BLOCK_TOKENS", block_tokens):
+            assert same_bits(generate_doc_fdes(docs, cfg), whole[0])
+            assert same_bits(generate_query_fdes(docs, cfg), whole[1])
+
+
 def test_a_config_draws_its_randomness_once():
     rng = np.random.default_rng(35)
     queries = [rng.standard_normal((int(rng.integers(1, 6)), 8)) for _ in range(10)]
@@ -632,3 +669,39 @@ def test_concurrent_first_use_matches_the_sequential_run():
     finally:
         sys.setswitchinterval(interval)
     assert [r.ranking for r in got] == [r.ranking for r in want]
+
+
+@st.composite
+def float32_cases(draw):
+    """float32 documents, a config, k-means (centers, sample size) or None, and d_final as a share of the raw size."""
+    dim = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.sampled_from([1, 1, 2, 3, 9, 40]), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    docs = [(rng.standard_normal((m, dim)) * 3).astype(np.float32) for m in lengths]
+    cfg = FdeConfig(dim=dim, k_sim=draw(st.integers(1, 5)), d_proj=draw(st.one_of(st.none(), st.integers(1, dim))),
+                    r_reps=draw(st.integers(1, 3)), fill_empty=draw(st.booleans()), seed=draw(st.integers(0, 9)))
+    kmeans = draw(st.one_of(st.none(), st.tuples(st.integers(1, 6), st.sampled_from([None, 4, 100_000]))))
+    return cfg, docs, kmeans, draw(st.one_of(st.none(), st.floats(0, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(float32_cases(), st.sampled_from([1, 5, 40, encoding.BLOCK_TOKENS]))
+def test_float32_tokens_encode_as_their_float64_cast(case, block_tokens):
+    cfg, docs32, kmeans, final = case
+    docs64 = [d.astype(np.float64) for d in docs32]
+    cfg32 = cfg64 = cfg
+    if kmeans is not None:  # each pool trains its own partitions: a float32 pool must give the same centers
+        b, max_tokens = kmeans
+        cfg32 = with_kmeans_partitions(cfg, np.vstack(docs32), b, max_tokens)
+        cfg64 = with_kmeans_partitions(cfg, np.vstack(docs64), b, max_tokens)
+        assert all(same_bits(p.centers, q.centers)
+                   for p, q in zip(cfg32.kmeans_partitioners, cfg64.kmeans_partitioners))
+        assert config_fingerprint(cfg32) == config_fingerprint(cfg64)
+    raw = cfg32.num_clusters * cfg.proj_dim * cfg.r_reps
+    if final is not None and raw > 1:
+        d_final = 1 + int(final * (raw - 2))
+        cfg32, cfg64 = (dataclasses.replace(c, d_final=d_final) for c in (cfg32, cfg64))
+    with mock.patch.object(encoding, "BLOCK_TOKENS", block_tokens):
+        assert same_bits(generate_doc_fdes(docs32, cfg32), generate_doc_fdes(docs64, cfg64))
+        assert same_bits(generate_query_fdes(docs32, cfg32), generate_query_fdes(docs64, cfg64))
+        assert same_bits(build_index(docs32, cfg32).dense, build_index(docs64, cfg64).dense)

@@ -1,9 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fdesearch import pq
 from fdesearch.pq import (
     PqCodebook,
     pq_decode_many,
@@ -11,6 +15,7 @@ from fdesearch.pq import (
     pq_table,
     pq_table_dots,
     pq_train,
+    pq_train_encode,
 )
 
 
@@ -181,3 +186,34 @@ def test_zero_group_skip_is_exact(scan):
         assert dots[n + j].tobytes() == dots[i].tobytes()
     zero = pq_table_dots(book, np.zeros_like(q), codes)
     assert zero.tobytes() == np.zeros(codes.shape[0]).tobytes()  # +0.0, not -0.0
+
+
+def test_pq_train_encode_makes_no_float64_copy_of_a_float32_matrix():
+    V = np.random.default_rng(12).standard_normal((600, 2048)).astype(np.float32)
+    pq_train_encode(V[:20], c=16, g=8, seed=0)
+    tracemalloc.start()
+    try:
+        pq_train_encode(V, c=16, g=8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * V.size  # a float64 copy of V alone
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), groups=st.integers(1, 4), g=st.integers(1, 3),
+       c=st.integers(1, 16), grid=st.booleans(), sample_limit=st.sampled_from([None, 7]))
+def test_float32_vectors_train_and_encode_as_their_float64_cast(seed, n, groups, g, c, grid, sample_limit):
+    rng = np.random.default_rng(seed)
+    V32 = (rng.standard_normal((n, groups * g)) * 3).astype(np.float32)
+    if grid:  # duplicate slices and exact distance ties
+        V32 = np.round(V32 * 2) / 2
+    V64 = V32.astype(np.float64)
+    limit = pq.TRAIN_SAMPLE_LIMIT if sample_limit is None else sample_limit  # 7: training sees a subsample
+    with mock.patch.object(pq, "TRAIN_SAMPLE_LIMIT", limit):
+        book32, codes32 = pq_train_encode(V32, c=c, g=g, seed=seed % 7)
+        book64, codes64 = pq_train_encode(V64, c=c, g=g, seed=seed % 7)
+    assert book32.centers.tobytes() == book64.centers.tobytes()
+    assert np.array_equal(book32.effective_c, book64.effective_c)
+    assert codes32.dtype == codes64.dtype == np.uint8 and np.array_equal(codes32, codes64)
+    assert np.array_equal(pq_encode_many(book64, V32), codes64)
