@@ -144,11 +144,12 @@ def _cmd_build(args) -> int:
         raise ValueError(f"{' and '.join(kmeans_set)} set with partitioner={config.partitioner}: "
                          "k-means settings need partitioner=kmeans")
     if config.partitioner == "kmeans":
-        tokens = TokenCorpus([m for _, m in records]).tokens
+        pool = TokenCorpus([m for _, m in records]).tokens
         if args.kmeans_all_tokens:
-            config = with_kmeans_partitions(config, tokens, kmeans_b, max_tokens=None)
+            config = with_kmeans_partitions(config, pool, kmeans_b, max_tokens=None)
         else:
-            config = with_kmeans_partitions(config, tokens, kmeans_b)
+            config = with_kmeans_partitions(config, pool, kmeans_b)
+        del pool  # build_index stacks the corpus again: the two stacks are never held at once
 
     ids = [i for i, _ in records]
     index = build_index([m for _, m in records], config, pq=pq, doc_ids=ids)

@@ -17,13 +17,19 @@
   empty value, a tuple is ``a:b``, a bool is ``True``/``False``.
 
 Binary readers validate magic/version and report truncation with byte
-offsets. write-then-read round-trips are bit-exact.
+offsets. They read from the open file: each section's size is checked
+against the file's size before its array is allocated, and the section is
+then read straight into that array (PQ codes through one small block, as
+they are transposed to the group-major layout). The writers write each
+section straight from its array. So neither side holds a second copy of
+the file. write-then-read round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 import types
 import typing
@@ -41,28 +47,43 @@ from .pq import PqCodebook
 MVEC_MAGIC = b"MVEC"
 INDEX_MAGIC = b"MVIX"
 FORMAT_VERSION = 1
+_BLOCK_BYTES = 1 << 16  # PQ codes are written and read through row blocks of about this size
 
 
 class _Reader:
-    """Byte cursor with offset-aware truncation errors."""
+    """Cursor over an open binary file, with offset-aware truncation errors.
 
-    def __init__(self, buf: bytes, path):
-        self.buf = buf
+    Each section's size is checked against the file's size before anything
+    is allocated for it, so a corrupt count cannot make the reader allocate
+    past what the file holds. Arrays are read straight into their own
+    memory (readinto); a read that comes back short, because the file
+    shrank while it was read, raises the same truncation error.
+    """
+
+    def __init__(self, f, path):
+        self.f = f
+        self.size = os.fstat(f.fileno()).st_size
         self.off = 0
         self.path = str(path)
 
-    def _advance(self, n: int, what: str) -> int:
-        """Offset of the next n bytes, which are consumed."""
-        if self.off + n > len(self.buf):
-            raise ValueError(
-                f"{self.path}: truncated file reading {what}: need {n} bytes at offset "
-                f"{self.off}, only {len(self.buf) - self.off} remain")
+    def _truncated(self, n: int, what: str, remain: int) -> ValueError:
+        return ValueError(f"{self.path}: truncated file reading {what}: need {n} bytes at offset "
+                          f"{self.off}, only {remain} remain")
+
+    def _check(self, n: int, what: str) -> None:
+        if self.off + n > self.size:
+            raise self._truncated(n, what, self.size - self.off)
+
+    def _consume(self, got: int, n: int, what: str) -> None:
+        if got < n:
+            raise self._truncated(n, what, got)
         self.off += n
-        return self.off - n
 
     def take(self, n: int, what: str) -> bytes:
-        start = self._advance(n, what)
-        return self.buf[start:start + n]
+        self._check(n, what)
+        data = self.f.read(n)
+        self._consume(len(data), n, what)
+        return data
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
@@ -70,13 +91,32 @@ class _Reader:
     def u64(self, what: str) -> int:
         return struct.unpack("<Q", self.take(8, what))[0]
 
-    def view(self, dtype: str, count: int, what: str) -> np.ndarray:
-        """The next count values as a read-only array over the file buffer."""
-        dt = np.dtype(dtype)
-        return np.frombuffer(self.buf, dtype=dt, count=count, offset=self._advance(dt.itemsize * count, what))
+    def into(self, out: np.ndarray, what: str) -> np.ndarray:
+        """Fill the C-contiguous array out with the next out.nbytes bytes."""
+        self._check(out.nbytes, what)
+        self._consume(self.f.readinto(out), out.nbytes, what)
+        return out
 
     def array(self, dtype: str, count: int, what: str) -> np.ndarray:
-        return self.view(dtype, count, what).copy()
+        """The next count values, read into a new array."""
+        dt = np.dtype(dtype)
+        self._check(dt.itemsize * count, what)  # before the array is allocated
+        return self.into(np.empty(count, dtype=dt), what)
+
+    def transposed(self, rows: int, cols: int, what: str) -> np.ndarray:
+        """The next (rows, cols) u1 matrix, returned as its (cols, rows) C-contiguous transpose.
+
+        It is read through one block of about _BLOCK_BYTES, so no second
+        copy of the section is held.
+        """
+        self._check(rows * cols, what)
+        out = np.empty((cols, rows), dtype=np.uint8)
+        step = max(1, _BLOCK_BYTES // cols)
+        block = np.empty((min(step, rows), cols), dtype=np.uint8)
+        for lo in range(0, rows, step):
+            part = self.into(block[:min(step, rows - lo)], what)
+            out[:, lo:lo + len(part)] = part.T
+        return out
 
     def expect_magic(self, magic: bytes) -> None:
         got = self.take(len(magic), "magic")
@@ -89,12 +129,16 @@ class _Reader:
             raise ValueError(f"{self.path}: unsupported format version {v} at offset 4: expected {FORMAT_VERSION}")
 
     def done(self) -> None:
-        if self.off != len(self.buf):
-            raise ValueError(f"{self.path}: {len(self.buf) - self.off} unexpected trailing bytes at offset {self.off}")
+        if self.off != self.size:
+            raise ValueError(f"{self.path}: {self.size - self.off} unexpected trailing bytes at offset {self.off}")
 
 
 def write_mvec(path, records: Sequence) -> None:
-    """Write (id, matrix) records; all matrices must share one dimension."""
+    """Write (id, matrix) records; all matrices must share one dimension.
+
+    Every record is checked before the file is opened; each matrix is then
+    written straight from its own memory when it is float32.
+    """
     if len(records) == 0:
         raise ValueError("no records to write")
     mats = [np.asarray(m) for _, m in records]
@@ -102,14 +146,16 @@ def write_mvec(path, records: Sequence) -> None:
     if len(dims) != 1:
         raise ValueError(f"records have mixed dimensions: {sorted(dims)}")
     dim = dims.pop()
-    parts = [MVEC_MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", dim),
-             struct.pack("<Q", len(records))]
+    heads = []
     for (doc_id, _), mat in zip(records, mats):
         if mat.shape[0] < 1:
             raise ValueError(f"record {doc_id} has no tokens")
-        parts.append(struct.pack("<QI", int(doc_id), mat.shape[0]))
-        parts.append(np.ascontiguousarray(mat, dtype="<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+        heads.append(struct.pack("<QI", int(doc_id), mat.shape[0]))
+    with open(path, "wb") as f:
+        f.write(MVEC_MAGIC + struct.pack("<IIQ", FORMAT_VERSION, dim, len(records)))
+        for head, mat in zip(heads, mats):
+            f.write(head)
+            f.write(np.ascontiguousarray(mat, dtype="<f4"))
 
 
 def _normalize_rows(mat: np.ndarray, where: str) -> np.ndarray:
@@ -122,22 +168,23 @@ def _normalize_rows(mat: np.ndarray, where: str) -> np.ndarray:
 
 def read_mvec(path, normalize: bool = False) -> list:
     """Read (id, float32 matrix) records; normalize divides rows by their norm."""
-    rd = _Reader(Path(path).read_bytes(), path)
-    rd.expect_magic(MVEC_MAGIC)
-    rd.expect_version()
-    dim = rd.u32("dimension")
-    count = rd.u64("record count")
-    if dim < 1:
-        raise ValueError(f"{path}: dimension must be >= 1, got {dim}")
-    records = []
-    for i in range(count):
-        doc_id = rd.u64(f"record {i} id")
-        ntok = rd.u32(f"record {i} token count")
-        if ntok < 1:
-            raise ValueError(f"{path}: record {i} (id {doc_id}) has num_tokens={ntok}, must be >= 1")
-        mat = rd.array("<f4", ntok * dim, f"record {i} values").reshape(ntok, dim)
-        records.append((doc_id, _normalize_rows(mat, f"{path}: record {i} (id {doc_id})") if normalize else mat))
-    rd.done()
+    with open(path, "rb") as f:
+        rd = _Reader(f, path)
+        rd.expect_magic(MVEC_MAGIC)
+        rd.expect_version()
+        dim = rd.u32("dimension")
+        count = rd.u64("record count")
+        if dim < 1:
+            raise ValueError(f"{path}: dimension must be >= 1, got {dim}")
+        records = []
+        for i in range(count):
+            doc_id = rd.u64(f"record {i} id")
+            ntok = rd.u32(f"record {i} token count")
+            if ntok < 1:
+                raise ValueError(f"{path}: record {i} (id {doc_id}) has num_tokens={ntok}, must be >= 1")
+            mat = rd.array("<f4", ntok * dim, f"record {i} values").reshape(ntok, dim)
+            records.append((doc_id, _normalize_rows(mat, f"{path}: record {i} (id {doc_id})") if normalize else mat))
+        rd.done()
     return records
 
 
@@ -282,66 +329,71 @@ def write_index(path, index: FdeIndex) -> None:
         header["pq"] = {"num_groups": index.codebook.num_groups,
                         "c": index.codebook.num_centers, "g": index.codebook.group_dim}
     hdr = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    parts_out = [INDEX_MAGIC, struct.pack("<I", FORMAT_VERSION),
-                 struct.pack("<I", len(hdr)), hdr,
-                 np.ascontiguousarray(index.doc_ids, dtype="<u8").tobytes()]
+    # each section is written straight from its array; the ids are stored as u64, whose bytes int64 shares
+    sections = [np.ascontiguousarray(index.doc_ids, dtype="<i8")]
     if index.config.kmeans_partitioners is not None:
-        for p in index.config.kmeans_partitioners:
-            parts_out.append(np.ascontiguousarray(p.centers, dtype="<f8").tobytes())
+        sections += [np.ascontiguousarray(p.centers, dtype="<f8") for p in index.config.kmeans_partitioners]
     if index.dense is not None:
-        parts_out.append(np.ascontiguousarray(index.dense, dtype="<f4").tobytes())
+        sections.append(np.ascontiguousarray(index.dense, dtype="<f4"))
     else:
-        parts_out.append(np.ascontiguousarray(index.codebook.effective_c, dtype="<u2").tobytes())
-        parts_out.append(np.ascontiguousarray(index.codebook.centers, dtype="<f8").tobytes())
-        parts_out.append(np.ascontiguousarray(index.codes, dtype="u1").tobytes())
-    Path(path).write_bytes(b"".join(parts_out))
+        sections.append(np.ascontiguousarray(index.codebook.effective_c, dtype="<u2"))
+        sections.append(np.ascontiguousarray(index.codebook.centers, dtype="<f8"))
+    with open(path, "wb") as f:
+        f.write(INDEX_MAGIC + struct.pack("<II", FORMAT_VERSION, len(hdr)) + hdr)
+        for section in sections:
+            f.write(section)
+        if index.codes is not None:  # (n, groups) rows, through row blocks of the group-major matrix
+            step = max(1, _BLOCK_BYTES // index.codebook.num_groups)
+            for lo in range(0, index.num_docs, step):
+                f.write(np.ascontiguousarray(index.codes[lo:lo + step], dtype="u1"))
 
 
 def read_index(path, corpus_records: Sequence | None = None) -> FdeIndex:
     """Load an index; pass mvec records to attach the corpus for reranking."""
-    rd = _Reader(Path(path).read_bytes(), path)
-    rd.expect_magic(INDEX_MAGIC)
-    rd.expect_version()
-    hdr_len = rd.u32("header length")
-    header = json.loads(rd.take(hdr_len, "header").decode())
-    config = _config_from_header(header, path)
-    fingerprint = _header_value(header, "fingerprint", (str,), path)
-    num_docs = _header_count(header, "num_docs", path)
-    dim = _header_count(header, "fde_dim", path)
-    storage = _header_value(header, "storage", (str,), path)
-    if storage not in ("dense", "pq"):
-        raise ValueError(f"{path}: index header storage must be 'dense' or 'pq', got {storage!r}")
-    for section, present in (("kmeans", config.partitioner == "kmeans"), ("pq", storage == "pq")):
-        if present:
-            _header_value(header, section, (dict,), path)
-        elif section in header:
-            raise ValueError(f"{path}: index header has a {section} section its config does not use")
+    with open(path, "rb") as f:
+        rd = _Reader(f, path)
+        rd.expect_magic(INDEX_MAGIC)
+        rd.expect_version()
+        hdr_len = rd.u32("header length")
+        header = json.loads(rd.take(hdr_len, "header").decode())
+        config = _config_from_header(header, path)
+        fingerprint = _header_value(header, "fingerprint", (str,), path)
+        num_docs = _header_count(header, "num_docs", path)
+        dim = _header_count(header, "fde_dim", path)
+        storage = _header_value(header, "storage", (str,), path)
+        if storage not in ("dense", "pq"):
+            raise ValueError(f"{path}: index header storage must be 'dense' or 'pq', got {storage!r}")
+        for section, present in (("kmeans", config.partitioner == "kmeans"), ("pq", storage == "pq")):
+            if present:
+                _header_value(header, section, (dict,), path)
+            elif section in header:
+                raise ValueError(f"{path}: index header has a {section} section its config does not use")
 
-    doc_ids = rd.array("<u8", num_docs, "doc ids").astype(np.int64)
-    if config.partitioner == "kmeans":
-        b = _header_count(header["kmeans"], "b", path, "kmeans.", least=1)
-        partitioners = tuple(KMeansPartitioner(centers=rd.array("<f8", b * config.dim, f"kmeans centers rep {rep}")
-                                               .reshape(b, config.dim)) for rep in range(config.r_reps))
-        config = dataclasses.replace(config, kmeans_partitioners=partitioners)
-    if config_fingerprint(config) != fingerprint:
-        raise ValueError(f"{path}: stored fingerprint does not match the stored config; file is corrupt")
-    if dim != fde_dim(config):
-        raise ValueError(f"{path}: index header fde_dim={dim} does not match its config ({fde_dim(config)})")
+        doc_ids = rd.array("<i8", num_docs, "doc ids")  # stored as u64, whose bytes int64 shares
+        if config.partitioner == "kmeans":
+            b = _header_count(header["kmeans"], "b", path, "kmeans.", least=1)
+            partitioners = tuple(KMeansPartitioner(centers=rd.array("<f8", b * config.dim, f"kmeans centers rep {rep}")
+                                                   .reshape(b, config.dim)) for rep in range(config.r_reps))
+            config = dataclasses.replace(config, kmeans_partitioners=partitioners)
+        if config_fingerprint(config) != fingerprint:
+            raise ValueError(f"{path}: stored fingerprint does not match the stored config; file is corrupt")
+        if dim != fde_dim(config):
+            raise ValueError(f"{path}: index header fde_dim={dim} does not match its config ({fde_dim(config)})")
 
-    if storage == "dense":
-        dense = rd.array("<f4", num_docs * dim, "encodings").reshape(num_docs, dim)
-        index = FdeIndex(doc_ids, config, dense=dense)
-    else:
-        groups, c, g = (_header_count(header["pq"], key, path, "pq.", least=1) for key in ("num_groups", "c", "g"))
-        if groups * g != dim or c > 256:
-            raise ValueError(f"{path}: index header pq shape ({groups} groups x {g} dims, {c} centers) "
-                             f"does not fit fde_dim={dim} with one-byte codes")
-        effective = rd.array("<u2", groups, "effective center counts").astype(np.int64)
-        centers = rd.array("<f8", groups * c * g, "codebook").reshape(groups, c, g)
-        codes = rd.view("u1", num_docs * groups, "codes").reshape(num_docs, groups)  # the scan makes its copy
-        codebook = PqCodebook(centers=centers, effective_c=effective)
-        index = FdeIndex(doc_ids, config, codebook=codebook, codes=codes)
-    rd.done()
+        if storage == "dense":
+            dense = rd.array("<f4", num_docs * dim, "encodings").reshape(num_docs, dim)
+            index = FdeIndex(doc_ids, config, dense=dense)
+        else:
+            groups, c, g = (_header_count(header["pq"], key, path, "pq.", least=1) for key in ("num_groups", "c", "g"))
+            if groups * g != dim or c > 256:
+                raise ValueError(f"{path}: index header pq shape ({groups} groups x {g} dims, {c} centers) "
+                                 f"does not fit fde_dim={dim} with one-byte codes")
+            effective = rd.array("<u2", groups, "effective center counts").astype(np.int64)
+            centers = rd.array("<f8", groups * c * g, "codebook").reshape(groups, c, g)
+            codes = rd.transposed(num_docs, groups, "codes").T  # group-major, as the scan holds them
+            codebook = PqCodebook(centers=centers, effective_c=effective)
+            index = FdeIndex(doc_ids, config, codebook=codebook, codes=codes)
+        rd.done()
 
     if corpus_records is not None:
         by_id = {int(i): m for i, m in corpus_records}
@@ -439,7 +491,8 @@ def read_config_file(path) -> dict:
 def inspect_path(path) -> str:
     """Human-readable summary of any artifact file."""
     p = Path(path)
-    head = p.read_bytes()[:4]
+    with open(p, "rb") as f:
+        head = f.read(4)
     if head == MVEC_MAGIC:
         records = read_mvec(p)
         tokens = [m.shape[0] for _, m in records]

@@ -333,10 +333,13 @@ def _rep_block(idx: np.ndarray, proj: np.ndarray, d2: np.ndarray | None, lengths
     np.multiply(acc.reshape(t, n, b).transpose(1, 2, 0), scale, out=dest)
 
 
-def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype) -> np.ndarray:
+def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: range | None = None) -> np.ndarray:
     """Shared query/document encoder over the token sets of a corpus; (n, fde_dim) of dtype.
 
-    tokens must hold config.dim columns. The documents go in blocks of
+    tokens must hold config.dim columns. reps, when given, encodes only
+    those repetitions: the (n, len(reps) * B * d_proj) columns of the
+    encoding they fill, bit for bit (not with d_final, which mixes every
+    repetition). The documents go in blocks of
     consecutive documents holding about BLOCK_TOKENS tokens (a served
     query is one block). Each block is widened to float64 on its own, and
     every repetition assigns, projects and encodes it (_rep_block), so
@@ -354,10 +357,11 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype) -> np.ndar
     that rounds like them.
     """
     lengths = tokens.lengths
-    reps, final = config._draws
+    draws, final = config._draws
+    reps = range(config.r_reps) if reps is None else reps
     b = config.num_clusters
     t = config.proj_dim
-    n, r = len(lengths), config.r_reps
+    n, r = len(lengths), len(reps)
     ends = np.cumsum(lengths)
     # a block holds the documents whose first token falls in one BLOCK_TOKENS span
     bounds = [0, *(np.flatnonzero(np.diff((ends - lengths) // BLOCK_TOKENS)) + 1), n]
@@ -370,11 +374,12 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype) -> np.ndar
         window = tokens.tokens[start:stop].astype(np.float64, copy=False)
         toks = slice(first - start, last - start)
         owner_base = np.repeat(np.arange(hi - lo) * b, lengths[lo:hi])  # B * each token's document in the block
-        for rep, (part, S) in enumerate(reps):
+        for col, rep in enumerate(reps):
+            part, S = draws[rep]
             idx, d2 = assign_with_dists(part, window)
             proj = window if S is None else (window @ S.T) / np.sqrt(t)
             _rep_block(idx[toks], proj[toks], None if d2 is None else d2[toks], lengths[lo:hi], owner_base,
-                       side, config, out[lo:hi, rep])
+                       side, config, out[lo:hi, col])
         del window, idx, d2, proj  # freed before the next block is widened
     out = out.reshape(n, r * b * t)
     if final is not None:

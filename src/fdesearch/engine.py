@@ -27,6 +27,7 @@ tokens exactly and approximates them for near-duplicates.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -35,7 +36,7 @@ import numpy as np
 
 from .chamfer import chamfer_top_k
 from .encoding import Fde, FdeConfig, _encode, config_fingerprint, fde_dim
-from .pq import PqCodebook, check_code_matrix, pq_table_dots, pq_train_encode
+from .pq import PqCodebook, _train_chunks, check_code_matrix, pq_table_dots
 from .util import TokenCorpus, as_matrix, require_finite, shortlist, top_k
 
 DEFAULT_CARVE_TAU = 0.7  # recall is flat above this threshold; rerank cost is not
@@ -235,22 +236,50 @@ def build_index(corpus: Sequence, config: FdeConfig, pq: PqSpec | None = None,
     the document encodings and only codes are kept. The corpus is checked
     and held as a TokenCorpus: non-finite tokens, repeated doc ids, and
     finite tokens whose float32 encoding overflows raise ValueError.
+
+    A PQ build never holds the whole float32 encoding matrix: it encodes
+    the fewest repetitions whose columns are whole groups, trains and codes
+    those groups, and only then encodes the next repetitions. The codebook
+    and codes are those of the whole matrix, bit for bit.
     """
     tokens = TokenCorpus(corpus, doc_ids, config.dim)
     ids = tokens.ids
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected just below
-        fdes = _encode(tokens, "doc", config, np.float32)
-        # float32 entries cannot overflow a float64 row sum: it is finite exactly when the row is
-        bad = np.flatnonzero(~np.isfinite(fdes.sum(axis=1, dtype=np.float64)))
-    if bad.size:
-        raise ValueError(f"document {ids[bad[0]]} has a non-finite float32 encoding (overflow)")
     if pq is None:
-        index = FdeIndex(ids, config, dense=fdes)
+        index = FdeIndex(ids, config, dense=next(_encodings(tokens, config, config.r_reps)))
     else:
-        codebook, codes = pq_train_encode(fdes, c=pq.c, g=pq.g, seed=config.seed)
+        # a chunk is the fewest repetitions whose columns are whole groups; d_final mixes every repetition
+        width = config.num_clusters * config.proj_dim
+        step = config.r_reps if config.d_final is not None else pq.g // math.gcd(width, pq.g)
+        codebook, codes = _train_chunks(_encodings(tokens, config, step), len(ids), fde_dim(config),
+                                        pq.c, pq.g, config.seed, encode=True)
         index = FdeIndex(ids, config, codebook=codebook, codes=codes)
     index.corpus = tokens  # checked above
     return index
+
+
+def _encodings(tokens: TokenCorpus, config: FdeConfig, step: int):
+    """The float32 document encodings, step repetitions at a time, each made when it is drawn.
+
+    A document whose encoding overflows raises ValueError. When some
+    repetitions overflow, the later ones are encoded too, so the error
+    names the first such document, as one pass over every repetition does.
+    """
+    spans = [range(lo, min(lo + step, config.r_reps)) for lo in range(0, config.r_reps, step)]
+    for i, reps in enumerate(spans):
+        fdes, bad = _encode_checked(tokens, config, reps)
+        if bad.size:
+            later = [_encode_checked(tokens, config, rest)[1][:1] for rest in spans[i + 1:]]
+            first = np.concatenate([bad[:1], *later]).min()
+            raise ValueError(f"document {tokens.ids[first]} has a non-finite float32 encoding (overflow)")
+        yield fdes
+
+
+def _encode_checked(tokens: TokenCorpus, config: FdeConfig, reps: range) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 document encodings of reps, and the positions of the documents whose encoding overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported, not warned about
+        fdes = _encode(tokens, "doc", config, np.float32, reps)
+        # float32 entries cannot overflow a float64 row sum: it is finite exactly when the row is
+        return fdes, np.flatnonzero(~np.isfinite(fdes.sum(axis=1, dtype=np.float64)))
 
 
 def mips_search(index: FdeIndex, query_fde, k_candidates: int):

@@ -9,9 +9,14 @@ center ("asymmetric" querying). With C=256 and G=8 this stores a vector in
 d/8 bytes, a 32x reduction over 4-byte floats.
 
 Training runs k-means per group on one shared seeded sample of at most
-100,000 vectors, sliced per group. pq_train_encode also returns the
-training vectors' codes: a group whose last Lloyd update moved no center
-has them already as its labels, so only the other groups are encoded.
+100,000 vectors, sliced per group. A group only ever reads its own
+columns, so one training core (_train_chunks) takes the matrix as chunks
+of whole groups, drawn one at a time: pq_train hands it the whole matrix
+as its only chunk, and build_index hands it the document encodings a few
+repetitions at a time, so the whole encoding matrix is never held. When
+the core also codes (build_index), a group whose last Lloyd update moved
+no center already has every training vector's code as its labels, so
+only the other groups run the nearest-center pass.
 
 A float32 input matrix is kept float32, and so is its sample: only each
 (n, G) group slice is widened to float64, as it is cut. The slices hold
@@ -35,6 +40,7 @@ bit for bit, that sequential sum over all groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -86,49 +92,51 @@ class PqCodebook:
 
 def pq_train(vectors, c: int = 256, g: int = 8, seed: int = 0) -> PqCodebook:
     """Train a codebook with c centers per group of g dimensions."""
-    return _train(as_matrix(vectors, None), c, g, seed)[0]
-
-
-def pq_train_encode(vectors, c: int = 256, g: int = 8, seed: int = 0) -> tuple[PqCodebook, np.ndarray]:
-    """pq_train(vectors) and pq_encode_many of the same vectors, bit for bit.
-
-    A group whose last Lloyd update moved no center already holds every
-    training vector's nearest final center: its labels are taken as the
-    codes. The other groups, and all groups when training used a
-    subsample, run pq_encode_many's nearest-center pass.
-    """
     V = as_matrix(vectors, None)
-    codebook, labels = _train(V, c, g, seed)
-    codes = np.empty((codebook.num_groups, V.shape[0]), dtype=np.uint8)
-    for grp, group_labels in enumerate(labels):
-        codes[grp] = _nearest_centers(codebook, V, grp) if group_labels is None else group_labels
-    return codebook, codes.T
+    return _train_chunks([V], V.shape[0], V.shape[1], c, g, seed)[0]
 
 
-def _train(V: np.ndarray, c: int, g: int, seed: int) -> tuple[PqCodebook, list]:
-    """The codebook, and per group the labels of V's rows from its last Lloyd update or None."""
-    n, d = V.shape
+def _train_chunks(chunks: Iterable[np.ndarray], n: int, dim: int, c: int, g: int, seed: int,
+                  encode: bool = False) -> tuple[PqCodebook, np.ndarray | None]:
+    """The codebook of an (n, dim) matrix handed over as chunks of its columns, and with encode its codes.
+
+    chunks yields (n, w) float32 or float64 matrices, left to right, each
+    holding whole groups (w a multiple of g). A chunk's groups are trained
+    (and coded) before the next chunk is drawn, so a caller can make each
+    chunk only when it is needed. Every group trains on the same sample
+    rows whatever the chunking, so the codebook is that of the whole
+    matrix, bit for bit.
+
+    With encode, the codes are pq_encode_many's, bit for bit: a group whose
+    last Lloyd update moved no center already holds every training row's
+    nearest final center, and its labels are taken as the codes; the
+    other groups, and all groups when training used a subsample, run the
+    nearest-center pass on the chunk.
+    """
     if not 1 <= c <= 256:
         raise ValueError(f"centers per group must be in [1, 256] so codes fit one byte, got {c}")
-    if g < 1 or d % g != 0:
-        raise ValueError(f"vector dimension {d} is not divisible by group width {g}")
-    sample = V
+    if g < 1 or dim % g != 0:
+        raise ValueError(f"vector dimension {dim} is not divisible by group width {g}")
+    rows = None
     if n > TRAIN_SAMPLE_LIMIT:
-        sel = derive_rng(seed, PQ_SAMPLE, 0).choice(n, size=TRAIN_SAMPLE_LIMIT, replace=False)
-        sample = V[np.sort(sel)]
+        rows = np.sort(derive_rng(seed, PQ_SAMPLE, 0).choice(n, size=TRAIN_SAMPLE_LIMIT, replace=False))
 
-    num_groups = d // g
+    num_groups = dim // g
     centers = np.zeros((num_groups, c, g), dtype=np.float64)
     effective = np.zeros(num_groups, dtype=np.int64)
-    labels = []
-    for grp in range(num_groups):
-        sl = _group_slice(sample, grp, g)
-        grp_centers, _, grp_labels = lloyd_kmeans(sl, c, seed, rep=grp)
-        effective[grp] = grp_centers.shape[0]
-        centers[grp, :grp_centers.shape[0]] = grp_centers
-        # a subsample's labels are not V's codes; held as codes, one byte a row
-        labels.append(grp_labels.astype(np.uint8) if sample is V and grp_labels is not None else None)
-    return PqCodebook(centers=centers, effective_c=effective), labels
+    codes = np.empty((num_groups, n), dtype=np.uint8) if encode else None
+    grp = 0
+    for chunk in chunks:
+        sample = chunk if rows is None else chunk[rows]
+        for local in range(chunk.shape[1] // g):
+            grp_centers, _, labels = lloyd_kmeans(_group_slice(sample, local, g), c, seed, rep=grp)
+            k = effective[grp] = grp_centers.shape[0]
+            centers[grp, :k] = grp_centers
+            if encode:  # a subsample's labels are not the codes of every row
+                use_labels = rows is None and labels is not None
+                codes[grp] = labels if use_labels else _nearest(centers[grp, :k], _group_slice(chunk, local, g))
+            grp += 1
+    return PqCodebook(centers=centers, effective_c=effective), None if codes is None else codes.T
 
 
 def pq_encode_many(codebook: PqCodebook, V) -> np.ndarray:
@@ -139,7 +147,8 @@ def pq_encode_many(codebook: PqCodebook, V) -> np.ndarray:
         raise ValueError(f"dimension mismatch: vectors have d={Va.shape[1]}, codebook expects {codebook.dim}")
     codes = np.empty((codebook.num_groups, Va.shape[0]), dtype=np.uint8)
     for grp in range(codebook.num_groups):
-        codes[grp] = _nearest_centers(codebook, Va, grp)
+        cc = codebook.centers[grp, :codebook.effective_c[grp]]
+        codes[grp] = _nearest(cc, _group_slice(Va, grp, codebook.group_dim))
     return codes.T
 
 
@@ -148,9 +157,8 @@ def _group_slice(V: np.ndarray, grp: int, g: int) -> np.ndarray:
     return np.ascontiguousarray(V[:, grp * g:(grp + 1) * g], dtype=np.float64)
 
 
-def _nearest_centers(codebook: PqCodebook, V: np.ndarray, grp: int) -> np.ndarray:
-    cc = codebook.centers[grp, :codebook.effective_c[grp]]
-    return np.argmin(sq_dists(_group_slice(V, grp, codebook.group_dim), cc), axis=1)  # ties -> lowest center
+def _nearest(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
+    return np.argmin(sq_dists(points, centers), axis=1)  # ties -> lowest center
 
 
 def check_code_matrix(codebook: PqCodebook, codes) -> np.ndarray:
@@ -160,7 +168,8 @@ def check_code_matrix(codebook: PqCodebook, codes) -> np.ndarray:
         raise ValueError(f"expected an (n, {codebook.num_groups}) code matrix, got shape {codes.shape}")
     if not np.issubdtype(codes.dtype, np.integer):
         raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
-    if np.any((codes < 0) | (codes >= codebook.effective_c)):
+    # per-group extremes: no (n, groups) temporary besides the codes
+    if codes.size and (codes.min() < 0 or np.any(codes.max(axis=0) >= codebook.effective_c)):
         raise ValueError("code is negative or exceeds the effective number of centers for its group")
     return codes
 

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 
+from fdesearch import cli
 from fdesearch.chamfer import brute_force_topk
 from fdesearch.cli import cli_main
 from fdesearch.dataio import read_mvec, read_qrels, read_run
@@ -103,3 +106,27 @@ def test_cli_error_paths(tmp_path, capsys):
     # query has no thread pool: --workers is an unknown flag, rejected before any file is read
     assert cli_main(["query", "--index", "i", "--corpus", "c", "--queries", "q", "--out", "o", "--workers", "2"]) == 2
     assert cli_main([]) == 2
+
+
+def test_kmeans_build_releases_its_training_pool_before_build_index(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    assert cli_main(["synth", "--out", str(data), "--docs", "400", "--tokens", "64", "--queries", "1"]) == 0
+    stack = sum(m.nbytes for _, m in read_mvec(data / "corpus.mvec"))  # 3.3 MB of float32 tokens
+    held = []
+    build_index = cli.build_index
+
+    def spy(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return build_index(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_index", spy)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rc = cli_main(["build", "--corpus", str(data / "corpus.mvec"), "--out", str(tmp_path / "km.mvix"),
+                       "--partitioner", "kmeans", "--kmeans-b", "4", "--reps", "2"])
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    # the records read from the corpus file are held when build_index starts; a second stack of them is not
+    assert held[0] - before < 1.5 * stack

@@ -3,6 +3,7 @@ import json
 import struct
 import tempfile
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fdesearch import dataio
 from fdesearch.cli import cli_main
 from fdesearch.dataio import (
     inspect_path,
@@ -553,3 +555,92 @@ def test_index_files_round_trip_any_contents(index):
         assert np.array_equal(loaded.codebook.effective_c, index.codebook.effective_c)
     for a, b in zip(loaded.config.kmeans_partitioners or (), index.config.kmeans_partitioners or ()):
         assert same_bits(a.centers, b.centers)
+
+
+def _traced(fn):
+    """(result, bytes held before fn, peak bytes while fn ran) under tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, before, peak
+
+
+@pytest.fixture(scope="module")
+def large_indexes():
+    """A dense and a PQ index whose payloads (12 and 3 MB) are far above the 1 MiB slack of the bounds below."""
+    rng = np.random.default_rng(70)
+    docs = [rng.standard_normal((4, 16)).astype(np.float32) for _ in range(3000)]
+    cfg = FdeConfig(dim=16, k_sim=4, d_proj=8, r_reps=8, seed=1)  # 1024 dims
+    return {"dense": build_index(docs, cfg), "pq": build_index(docs, cfg, pq=PqSpec(c=4, g=1))}
+
+
+@pytest.mark.parametrize("kind", ["dense", "pq"])
+def test_write_index_writes_each_section_from_its_array(tmp_path, large_indexes, kind):
+    index = large_indexes[kind]
+    path = tmp_path / "i.mvix"
+    write_index(path, index)  # warm up
+    _, before, peak = _traced(lambda: write_index(path, index))
+    assert peak - before < 2 ** 20  # a bytes copy of the file would be 3 MB or more
+
+
+@pytest.mark.parametrize("kind", ["dense", "pq"])
+def test_read_index_reads_each_section_into_its_array(tmp_path, large_indexes, kind):
+    path = tmp_path / "i.mvix"
+    write_index(path, large_indexes[kind])
+    read_index(path)  # warm up
+    loaded, before, peak = _traced(lambda: read_index(path))
+    arrays = [loaded.doc_ids, loaded.dense] if kind == "dense" else \
+        [loaded.doc_ids, loaded.codebook.centers, loaded.codebook.effective_c, loaded.codes]
+    held = sum(a.nbytes for a in arrays)
+    assert held > 2 * 2 ** 20
+    assert peak - before <= 2 ** 20 + 1.1 * held  # the file's bytes, or a second copy, would be 2x
+
+
+def test_inspect_and_read_mvec_hold_the_records_once(tmp_path):
+    rng = np.random.default_rng(71)
+    records = [(i, unit_rows(rng, 64, 32)) for i in range(200)]  # 1.6 MB of tokens
+    path = tmp_path / "c.mvec"
+    write_mvec(path, records)
+    size = path.stat().st_size
+    for fn in (lambda: read_mvec(path), lambda: inspect_path(path)):
+        _, before, peak = _traced(fn)
+        assert peak - before < 1.25 * size  # a bytes copy of the file next to the records would be 2x
+
+
+def test_a_header_count_past_the_file_end_raises_before_allocating(tmp_path, index_files, monkeypatch):
+    header, payload = _split_index(index_files["dense"])
+    header["num_docs"] = 10 ** 12
+    index_path = tmp_path / "huge.mvix"
+    index_path.write_bytes(_join_index(header, payload))
+    mvec_path = tmp_path / "huge.mvec"
+    mvec_path.write_bytes(b"MVEC" + struct.pack("<IIQQI", 1, 16, 10 ** 12, 7, 2 ** 32 - 1) + bytes(64))
+    allocations = []
+    empty = np.empty
+
+    def spy(shape, *args, **kwargs):
+        allocations.append(shape)
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", spy)
+    with pytest.raises(ValueError, match=r"truncated file reading doc ids: need 8000000000000 bytes at offset \d+"):
+        read_index(index_path)
+    with pytest.raises(ValueError, match=r"truncated file reading record 0 values: need 274877906880 bytes "
+                                         r"at offset 32, only 64 remain"):
+        read_mvec(mvec_path)
+    assert allocations == []
+
+
+@pytest.mark.parametrize("kind", ["mvec", "dense", "pq"])
+def test_a_file_that_shrinks_while_read_raises_truncation(tmp_path, index_files, mvec_file, monkeypatch, kind):
+    data = mvec_file if kind == "mvec" else index_files[kind]
+    path = tmp_path / "shrunk.bin"
+    path.write_bytes(data[:len(data) - 40])
+    real_fstat = dataio.os.fstat
+    # the size is taken when the file is opened, as if the last 40 bytes were cut after that
+    monkeypatch.setattr(dataio.os, "fstat", lambda fd: types.SimpleNamespace(st_size=real_fstat(fd).st_size + 40))
+    with pytest.raises(ValueError, match=r"truncated file reading .*: need \d+ bytes at offset \d+, only \d+ remain"):
+        (read_mvec if kind == "mvec" else read_index)(path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdesearch.chamfer import brute_force_topk, chamfer
-from fdesearch.encoding import FdeConfig, fde_dim, generate_query_fde, generate_query_fdes
+from fdesearch.encoding import FdeConfig, fde_dim, generate_query_fde, generate_query_fdes, projection_matrix
 from fdesearch.engine import FdeIndex, PqSpec, ball_carve, batch_query, build_index, mips_search, query
 from fdesearch.pq import PqCodebook, pq_decode_many
 from fdesearch.synth import SynthSpec, generate_synthetic
@@ -291,6 +291,20 @@ def test_build_rejects_encodings_that_overflow_float32(small_dataset, pq):
     huge = np.full_like(corpus[5], 1e39, dtype=np.float64)  # finite in float64, not in float32
     with pytest.raises(ValueError, match="document 5"):
         build_index(corpus[:5] + [huge] + corpus[6:10], CFG, pq=pq)
+
+
+def test_pq_build_names_the_first_document_that_overflows_in_any_repetition():
+    cfg = FdeConfig(dim=4, k_sim=1, d_proj=1, r_reps=2, seed=0)  # one 1-column projection a repetition
+    late = 1e39 * np.array([1.0, 0.0, 1.0, 0.0])  # finite in float64
+    early = 1e39 * np.array([1.0, 1.0, 0.0, 0.0])
+    s0, s1 = projection_matrix(cfg, 0)[0], projection_matrix(cfg, 1)[0]
+    assert s0 @ late == 0 and s1 @ late != 0 and s0 @ early != 0  # late overflows float32 in repetition 1 only
+    rng = np.random.default_rng(5)
+    docs = [rng.standard_normal((3, 4)) for _ in range(5)]
+    docs[1], docs[3] = late[None], early[None]
+    for pq in (None, PqSpec(c=2, g=2)):  # with g=2 the PQ build encodes one repetition at a time
+        with pytest.raises(ValueError, match="document 1 has"):
+            build_index(docs, cfg, pq=pq)
 
 
 def test_huge_query_raises_only_value_error(small_dataset):

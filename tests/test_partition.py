@@ -259,16 +259,16 @@ def test_build_index_codes_equal_pq_encode_many(monkeypatch, sample_limit):
     corpus, cfg, spec = [m for _, m in docs], FdeConfig(dim=32, k_sim=4, d_proj=8, r_reps=6, seed=1), PqSpec(16, 8)
     if sample_limit is not None:  # below the 120 documents: training sees a subsample, so every group is encoded
         monkeypatch.setattr(pq, "TRAIN_SAMPLE_LIMIT", sample_limit)
-    encoded = []
-    nearest = pq._nearest_centers
+    encoded = []  # one nearest-center pass per group that does not take its training labels
+    nearest = pq._nearest
 
-    def spy(book, V, grp):
-        encoded.append(grp)
-        return nearest(book, V, grp)
+    def spy(centers, points):
+        encoded.append(len(points))
+        return nearest(centers, points)
 
-    monkeypatch.setattr(pq, "_nearest_centers", spy)
+    monkeypatch.setattr(pq, "_nearest", spy)
     index = build_index(corpus, cfg, pq=spec)
-    monkeypatch.setattr(pq, "_nearest_centers", nearest)  # the sample limit stays for pq_train below
+    monkeypatch.setattr(pq, "_nearest", nearest)  # the sample limit stays for pq_train below
     fdes = generate_doc_fdes(corpus, cfg).astype(np.float32)
     book = pq_train(fdes, spec.c, spec.g, cfg.seed)
     assert same_bits(index.codebook.centers, book.centers)

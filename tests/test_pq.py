@@ -1,13 +1,17 @@
+import dataclasses
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fdesearch import pq
+from fdesearch.encoding import FdeConfig, fde_dim, generate_doc_fdes, with_kmeans_partitions
+from fdesearch.engine import PqSpec, build_index
 from fdesearch.pq import (
     PqCodebook,
     pq_decode_many,
@@ -15,7 +19,6 @@ from fdesearch.pq import (
     pq_table,
     pq_table_dots,
     pq_train,
-    pq_train_encode,
 )
 
 
@@ -188,12 +191,12 @@ def test_zero_group_skip_is_exact(scan):
     assert zero.tobytes() == np.zeros(codes.shape[0]).tobytes()  # +0.0, not -0.0
 
 
-def test_pq_train_encode_makes_no_float64_copy_of_a_float32_matrix():
+def test_pq_train_and_encode_make_no_float64_copy_of_a_float32_matrix():
     V = np.random.default_rng(12).standard_normal((600, 2048)).astype(np.float32)
-    pq_train_encode(V[:20], c=16, g=8, seed=0)
+    pq_encode_many(pq_train(V[:20], c=16, g=8, seed=0), V[:20])
     tracemalloc.start()
     try:
-        pq_train_encode(V, c=16, g=8, seed=0)
+        pq_encode_many(pq_train(V, c=16, g=8, seed=0), V)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -211,9 +214,57 @@ def test_float32_vectors_train_and_encode_as_their_float64_cast(seed, n, groups,
     V64 = V32.astype(np.float64)
     limit = pq.TRAIN_SAMPLE_LIMIT if sample_limit is None else sample_limit  # 7: training sees a subsample
     with mock.patch.object(pq, "TRAIN_SAMPLE_LIMIT", limit):
-        book32, codes32 = pq_train_encode(V32, c=c, g=g, seed=seed % 7)
-        book64, codes64 = pq_train_encode(V64, c=c, g=g, seed=seed % 7)
+        # training with codes, as build_index trains: the label reuse is checked too
+        book32, codes32 = pq._train_chunks([V32], n, groups * g, c, g, seed % 7, encode=True)
+        book64, codes64 = pq._train_chunks([V64], n, groups * g, c, g, seed % 7, encode=True)
     assert book32.centers.tobytes() == book64.centers.tobytes()
     assert np.array_equal(book32.effective_c, book64.effective_c)
     assert codes32.dtype == codes64.dtype == np.uint8 and np.array_equal(codes32, codes64)
     assert np.array_equal(pq_encode_many(book64, V32), codes64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 6), k_sim=st.integers(1, 3), d_proj=st.integers(1, 6),
+       g=st.integers(1, 16), chunks=st.integers(1, 3), c=st.integers(1, 8), d_final=st.booleans(),
+       kmeans_b=st.sampled_from([None, 1, 5]), sample_limit=st.sampled_from([None, 7]))
+@example(seed=1, dim=4, k_sim=3, d_proj=3, g=16, chunks=2, c=4, d_final=False, kmeans_b=None,
+         sample_limit=None)  # 24-column repetitions: groups 1 and 4 of 6 straddle two repetitions
+@example(seed=2, dim=4, k_sim=3, d_proj=3, g=16, chunks=2, c=4, d_final=True, kmeans_b=5, sample_limit=7)
+def test_build_index_trains_and_codes_as_the_whole_float32_matrix(seed, dim, k_sim, d_proj, g, chunks, c, d_final,
+                                                                   kmeans_b, sample_limit):
+    rng = np.random.default_rng(seed)
+    docs = [(rng.standard_normal((int(rng.integers(1, 6)), dim)) * 2).astype(np.float32)
+            for _ in range(int(rng.integers(1, 25)))]
+    d_proj = min(d_proj, dim)
+    pool = np.vstack(docs)
+    # distinct random rows: every repetition's k-means keeps min(b, rows) centers
+    clusters = 2 ** k_sim if kmeans_b is None else min(kmeans_b, len(pool))
+    r_reps = g // math.gcd(clusters * d_proj, g) * chunks  # whole groups; a build chunk is g // gcd(...) reps
+    cfg = FdeConfig(dim=dim, k_sim=k_sim, d_proj=d_proj, r_reps=r_reps, seed=seed % 5)
+    if kmeans_b is not None:
+        cfg = with_kmeans_partitions(cfg, pool, kmeans_b)
+    if d_final and fde_dim(cfg) > g:
+        cfg = dataclasses.replace(cfg, d_final=g * int(rng.integers(1, (fde_dim(cfg) - 1) // g + 1)))
+    limit = pq.TRAIN_SAMPLE_LIMIT if sample_limit is None else sample_limit  # 7: training sees a subsample
+    with mock.patch.object(pq, "TRAIN_SAMPLE_LIMIT", limit):
+        index = build_index(docs, cfg, pq=PqSpec(c=c, g=g))
+        fdes = generate_doc_fdes(docs, cfg).astype(np.float32)
+        book = pq_train(fdes, c=c, g=g, seed=cfg.seed)
+    assert index.codebook.centers.tobytes() == book.centers.tobytes()
+    assert np.array_equal(index.codebook.effective_c, book.effective_c)
+    assert index.codes.dtype == np.uint8 and np.array_equal(index.codes, pq_encode_many(book, fdes))
+
+
+def test_pq_build_never_holds_the_whole_float32_encoding_matrix():
+    rng = np.random.default_rng(14)
+    docs = [rng.standard_normal((8, 16)).astype(np.float32) for _ in range(1000)]
+    cfg = FdeConfig(dim=16, k_sim=5, d_proj=8, r_reps=16)  # 4096 dims, one 256-column repetition a chunk
+    spec = PqSpec(c=4, g=8)
+    build_index(docs[:20], cfg, pq=spec)
+    tracemalloc.start()
+    try:
+        build_index(docs, cfg, pq=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(docs) * fde_dim(cfg) * 4  # the float32 encodings: 16 MB
