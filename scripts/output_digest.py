@@ -19,7 +19,9 @@ missing from it (digests of workloads or seeds not run are not compared).
 workloads are the seeded corpora of perfbench/workloads.py at full size.
 Covered outputs: the stored doc encodings (dense float32 or PQ codes), the
 float64 doc encodings with empty-cluster fill as configured, off, and with
-a final projection (d_final), the query encodings as one batch, with
+a final projection (d_final), and of a float64 copy of the corpus that is
+not float32-exact with one hyperplane and one projected coordinate (every
+hash and projection product has one column), the query encodings as one batch, with
 d_final, and one query at a time on one config object (the path query()
 takes, served from the config's cached draws after the first call),
 fde_rankings, query() rankings (ids and scores, every query), also with
@@ -34,8 +36,8 @@ when training stops) for every PQ group, and alone for four of them, a
 PQ codebook trained on a duplicate-heavy sample (fewer distinct slices
 than centers) with the codes it gives, a k-means config (centers, doc
 and query encodings, rankings), the token index's stored tokens and
-owners (dtype included), and sv_candidates with dedup on and off
-followed by the exact rerank. top_k is also covered at its edges:
+owners (dtype included: the corpus dtype, float32 on every workload), and
+sv_candidates with dedup on and off followed by the exact rerank. top_k is also covered at its edges:
 fde_rankings at depth 1 and depth=None (every document), and
 sv_candidates at k_per_query 1 and past the token count; and on its own,
 over a seeded matrix of rounded scores (ties) with NaN and +-inf whose
@@ -173,10 +175,15 @@ def digest_workload(wl, seed: int, got: dict) -> None:
     emit("query", [fs.query(index, Q, wl.k_candidates, wl.final_k, wl.carve_tau).ranking for Q in queries])
     emit("query.k_candidates=final_k", [fs.query(index, Q, wl.final_k, wl.final_k, wl.carve_tau).ranking
                                         for Q in queries])
-    index.attach_corpus([m.astype(np.float64) * (1 + 2.0 ** -30) for m in corpus])  # not float32-exact
+    wide = [m.astype(np.float64) * (1 + 2.0 ** -30) for m in corpus]  # not float32-exact
+    index.attach_corpus(wide)
     emit("query.float64_corpus", [fs.query(index, Q, wl.k_candidates, wl.final_k, wl.carve_tau).ranking
                                   for Q in queries])
     del index
+    # one hyperplane and one projected coordinate: one-column products over more than BLOCK_TOKENS tokens
+    emit("doc_fdes.one_column.float64_corpus",
+         fs.generate_doc_fdes(wide, dataclasses.replace(cfg, k_sim=1, d_proj=1, r_reps=2)))
+    del wide
     twins = fs.build_index([corpus[i - i % 2] for i in range(len(corpus))], cfg)
     emit("query.duplicate_docs", [fs.query(twins, Q, wl.k_candidates, wl.final_k, wl.carve_tau).ranking
                                   for Q in queries])

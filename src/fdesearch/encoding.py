@@ -53,7 +53,7 @@ from .partition import (
     kmeans_train,
     simhash_new,
 )
-from .util import FINAL_PROJ, INNER_PROJ, KMEANS_SAMPLE, TokenCorpus, as_matrix, derive_rng
+from .util import FINAL_PROJ, INNER_PROJ, KMEANS_SAMPLE, TokenCorpus, as_matrix, derive_rng, product
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,7 +377,7 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: rang
         for col, rep in enumerate(reps):
             part, S = draws[rep]
             idx, d2 = assign_with_dists(part, window)
-            proj = window if S is None else (window @ S.T) / np.sqrt(t)
+            proj = window if S is None else product(window, S) / np.sqrt(t)
             _rep_block(idx[toks], proj[toks], None if d2 is None else d2[toks], lengths[lo:hi], owner_base,
                        side, config, out[lo:hi, col])
         del window, idx, d2, proj  # freed before the next block is widened

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import HYPERPLANES, KMEANS_INIT, as_matrix, derive_rng
+from .util import HYPERPLANES, KMEANS_INIT, as_matrix, derive_rng, product
 
 MAX_K_SIM = 24  # 2^24 buckets is already far beyond any sane configuration
 KMEANS_MAX_ITERS = 100  # Lloyd updates at most
@@ -86,7 +86,7 @@ def assign_with_dists(partitioner, X) -> tuple[np.ndarray, np.ndarray | None]:
     if Xa.shape[1] != partitioner.dim:
         raise ValueError(f"dimension mismatch: points have d={Xa.shape[1]}, partitioner expects {partitioner.dim}")
     if isinstance(partitioner, SimHashPartitioner):
-        bits = (Xa @ partitioner.gaussians.T) > 0.0  # strict: a zero dot is bit 0
+        bits = product(Xa, partitioner.gaussians) > 0.0  # strict: a zero dot is bit 0
         return (bits @ _BIT_VALUES[:partitioner.k_sim]).astype(np.int64), None
     if isinstance(partitioner, KMeansPartitioner):
         d2 = sq_dists(Xa, partitioner.centers)
@@ -96,7 +96,7 @@ def assign_with_dists(partitioner, X) -> tuple[np.ndarray, np.ndarray | None]:
 
 def sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """(m, B) squared Euclidean distances from the rows of X to the rows of C."""
-    return _sq_from_dots(X @ C.T, np.sum(X * X, axis=1), np.sum(C * C, axis=1))
+    return _sq_from_dots(product(X, C), np.sum(X * X, axis=1), np.sum(C * C, axis=1))
 
 
 def _sq_from_dots(t: np.ndarray, xx: np.ndarray, cc: np.ndarray) -> np.ndarray:

@@ -112,6 +112,16 @@ class TokenCorpus:
         return self.tokens[self.starts[i]:self.starts[i] + self.lengths[i]]
 
 
+def product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """X @ W.T, always as a matrix-matrix product: a one-row W gets a zero row appended and the
+    first column of the product is returned. BLAS computes a one-column product as a
+    matrix-vector product, which rounds X's last rows (M mod 4 in OpenBLAS) with another
+    kernel, so a row's value would depend on how many rows follow it."""
+    if len(W) == 1:
+        return (X @ np.vstack([W, np.zeros_like(W)]).T)[:, :1]
+    return X @ W.T
+
+
 def shortlist(approx: np.ndarray, slack: np.ndarray, k: int):
     """Positions whose upper bound approx + slack reaches the k-th largest lower bound approx - slack
     (the others are strictly beaten by k; ties at the cut stay); all (slice(None)) if any is not finite."""

@@ -28,7 +28,7 @@ from fdesearch.encoding import (
 from fdesearch.engine import FdeIndex, batch_query, build_index, query
 from fdesearch.partition import SimHashPartitioner, assign_many, sq_dists
 from fdesearch.synth import matched_pair
-from fdesearch.util import as_matrix, derive_rng
+from fdesearch.util import as_matrix, derive_rng, product
 
 
 def unit_rows(rng, m, d):
@@ -537,7 +537,7 @@ def per_document_oracle(matrices, side, config):
         part = partitioner_for_rep(config, rep)
         idx_all = assign_many(part, stacked)
         S = projection_matrix(config, rep)
-        proj_all = stacked if S is None else (stacked @ S.T) / np.sqrt(t)
+        proj_all = stacked if S is None else product(stacked, S) / np.sqrt(t)  # the encoder's product
         base = rep * b * t
         for j in range(len(mats)):
             lo, hi = bounds[j], bounds[j + 1]
@@ -603,14 +603,19 @@ def test_batch_encoder_equals_the_per_document_loop(case, block_tokens):
 @pytest.mark.parametrize("block_tokens", [3, 200, 5000])
 def test_blocks_of_a_long_stack_encode_as_one_block(block_tokens):
     """Past _PRODUCT_ROWS tokens each block's products run over a window of the stack: single-token
-    documents and short trailing blocks still get the rows of the whole-stack product. The tokens are
-    float64, whose products with the +-1 projection round (float32 tokens' mostly do not)."""
+    documents and short trailing blocks still get the rows of the whole-stack product, also when a
+    product has one column (a BLAS matrix-vector product unless util.product pads it). The tokens
+    are float64, whose products with the +-1 projection round (float32 tokens' mostly do not)."""
     rng = np.random.default_rng(41)
     lengths = [*rng.integers(1, 40, size=300), 1, 1, 2, 1]
     docs = [rng.standard_normal((int(m), 32)) for m in lengths]
     assert sum(lengths) > encoding._PRODUCT_ROWS
     for cfg in (FdeConfig(dim=32, k_sim=5, d_proj=8, r_reps=2, seed=1),
-                with_kmeans_partitions(FdeConfig(dim=32, d_proj=8, r_reps=2, seed=2), np.vstack(docs), b=6)):
+                with_kmeans_partitions(FdeConfig(dim=32, d_proj=8, r_reps=2, seed=2), np.vstack(docs), b=6),
+                # one-column products: one hyperplane, one projected coordinate, one center
+                FdeConfig(dim=32, k_sim=3, d_proj=1, r_reps=2, seed=3),
+                FdeConfig(dim=32, k_sim=1, d_proj=4, r_reps=2, seed=4),
+                with_kmeans_partitions(FdeConfig(dim=32, d_proj=1, r_reps=2, seed=5), np.vstack(docs), b=1)):
         whole = generate_doc_fdes(docs, cfg), generate_query_fdes(docs, cfg)  # one block
         with mock.patch.object(encoding, "BLOCK_TOKENS", block_tokens):
             assert same_bits(generate_doc_fdes(docs, cfg), whole[0])

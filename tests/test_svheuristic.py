@@ -1,6 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fdesearch import svheuristic
 from fdesearch.svheuristic import build_token_index, sv_candidates
 
 
@@ -168,3 +174,131 @@ def test_overflowing_dots_raise_naming_the_query_token():
         sv_candidates(np.array([[1e-200, 0.0], [1e200, 1e200]]), index, 2, dedup=False)
     # past the norm guard but every dot finite: ranked as usual
     assert sv_candidates(np.array([[1e100, 0.0]]), index, 2, dedup=False) == [0, 1]
+
+
+def dedup_list(ids):
+    seen = set()
+    return [d for d in ids if not (d in seen or seen.add(d))]
+
+
+def test_the_index_keeps_the_corpus_dtype():
+    rng = np.random.default_rng(11)
+    docs = [rng.standard_normal((3, 4)) for _ in range(3)]
+    assert build_token_index(docs).tokens.dtype == np.float64
+    assert build_token_index([d.astype(np.float32) for d in docs]).tokens.dtype == np.float32
+    mixed = build_token_index([docs[0].astype(np.float32), docs[1]])  # float64 input is not rounded
+    assert mixed.tokens.dtype == np.float64 and (mixed.tokens[3:] == docs[1]).all()
+
+
+@st.composite
+def scan_cases(draw):
+    """An index (float32, float64 that is not float32-exact, float64 near-copies of a few tokens
+    whose dots differ below float32 resolution, or an integer grid with exact ties and signed zeros
+    in either dtype), a query, and k from 1 to the token count + 5 (small k more often)."""
+    dim = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["float32", "float64", "near64", "grid32", "grid64"]))
+    if kind.startswith("grid"):
+        def draw_rows(r):
+            return rng.integers(-1, 2, size=(r, dim)) * rng.choice([-1.0, 1.0], size=(r, dim))  # -0.0 too
+    elif kind == "near64":
+        base = rng.standard_normal((sum(lengths) // 6 + 1, dim))
+
+        def draw_rows(r):
+            return base[rng.integers(0, len(base), size=r)] + 1e-9 * rng.standard_normal((r, dim))
+    else:
+        def draw_rows(r):
+            return rng.standard_normal((r, dim))
+    docs = [draw_rows(r) for r in lengths]
+    if kind.endswith("32"):
+        docs = [x.astype(np.float32) for x in docs]
+    k = draw(st.one_of(st.integers(1, 8), st.integers(1, sum(lengths) + 5)))
+    return build_token_index(docs, doc_ids=rng.permutation(2 * len(docs))[:len(docs)]), draw_rows(m), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases(), st.booleans())
+def test_candidates_equal_the_per_pair_oracle_and_each_token_alone(case, dedup):
+    index, Q, k = case
+    got = sv_candidates(Q, index, k, dedup=dedup)
+    assert got == interleave_oracle(Q, index.tokens, index.owners, k, dedup)
+    # a query token's hits do not depend on the other tokens of its query
+    alone = [sv_candidates(q[None], index, k, dedup=False) for q in Q]
+    interleaved = [hits[r] for r in range(len(alone[0])) for hits in alone]
+    assert got == (dedup_list(interleaved) if dedup else interleaved)
+
+
+def test_the_screen_scores_few_pairs_exactly():
+    rng = np.random.default_rng(12)
+    index = build_token_index([unit_rows(rng, 20, 8).astype(np.float32) for _ in range(100)])
+    Q = unit_rows(rng, 8, 8)
+    scored = []
+    real = svheuristic._dots
+
+    def counting(q, tokens, rows, cols):
+        scored.append(len(rows))
+        return real(q, tokens, rows, cols)
+
+    with mock.patch.object(svheuristic, "_dots", counting):
+        got = sv_candidates(Q, index, 10, dedup=False)
+    assert got == interleave_oracle(Q, index.tokens, index.owners, 10, False)
+    assert 8 * 10 <= sum(scored) <= 8 * 40  # at most 4k pairs a query token, against 2000 tokens
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_hits_the_float32_screen_misorders_are_kept(dtype):
+    # tokens of norm ~100 nearly orthogonal to the query: their dots of ~0.06 carry float32
+    # rounding errors of ~1e-5, far above the 1e-6 spread of the 12 best, so the float32 order of
+    # those 12 is not the exact one; the other tokens' dots sit near -0.06
+    rng = np.random.default_rng(15)
+    d, k = 32, 4
+    q = rng.standard_normal(d)
+    unit = q / np.linalg.norm(q)
+    ortho = rng.standard_normal((400, d))
+    ortho -= np.outer(ortho @ unit, unit)
+    ortho *= 100 / np.linalg.norm(ortho, axis=1, keepdims=True)
+    sign = np.where(np.arange(400) % 33 == 0, 1.0, -1.0)  # 12 tokens lean towards the query
+    lean = 0.01 * (1 + 1e-5 * rng.standard_normal(400))
+    tokens = (ortho + (sign * lean)[:, None] * unit).astype(dtype)
+    index = build_token_index([tokens[i:i + 4] for i in range(0, 400, 4)])
+    exact = np.argsort(-(index.tokens.astype(np.float64) @ q), kind="stable")[:k]
+    screen = np.argsort(-(index.tokens.astype(np.float32) @ q.astype(np.float32)), kind="stable")[:k]
+    assert set(exact) != set(screen)  # the case is one a screen without its bound gets wrong
+    assert sv_candidates(q[None], index, k, dedup=False) == interleave_oracle(q[None], index.tokens,
+                                                                              index.owners, k, False)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_finite_dots_beyond_float32_range_rank_as_the_oracle(dtype):
+    # dots of ~1e50 overflow a float32 product but not the float64 one
+    rng = np.random.default_rng(13)
+    corpus = [(unit_rows(rng, 4, 6) * 1e25).astype(dtype) for _ in range(30)]
+    index = build_token_index(corpus)
+    Q = unit_rows(rng, 3, 6) * 1e25
+    for k in (1, 7):
+        for dedup in (False, True):
+            got = sv_candidates(Q, index, k, dedup=dedup)
+            assert got == interleave_oracle(Q, index.tokens, index.owners, k, dedup)
+    # a query beyond float32 range against small tokens: every dot is finite
+    Q = unit_rows(rng, 2, 6) * 1e39
+    small = build_token_index([(unit_rows(rng, 4, 6) * 1e-10).astype(dtype) for _ in range(30)])
+    assert sv_candidates(Q, small, 7, dedup=False) == interleave_oracle(Q, small.tokens, small.owners, 7, False)
+
+
+def test_a_tied_index_holds_little_more_than_the_float32_screen():
+    # every dot of a query token ties: the screen keeps everything, so the scan goes exact one
+    # query token at a time instead of holding a survivor position per (query token, index token)
+    m, n, d, k = 32, 64000, 4, 125
+    index = build_token_index([np.full((64, d), 0.5, dtype=np.float32)] * (n // 64))
+    Q = np.random.default_rng(14).standard_normal((m, d))
+    tracemalloc.start()
+    try:
+        got = sv_candidates(Q, index, k, dedup=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [int(index.owners[r]) for r in range(k) for _ in range(m)]  # ties go to the lower position
+    assert peak < 2 * m * n * 4 + 4 * n * d * 8
