@@ -21,10 +21,10 @@ Covered outputs: the stored doc encodings (dense float32 or PQ codes), the
 float64 doc encodings with empty-cluster fill as configured, off, and with
 a final projection (d_final), and of a float64 copy of the corpus that is
 not float32-exact with one hyperplane and one projected coordinate (every
-hash and projection product has one column), the query encodings as one batch, with
-d_final, and one query at a time on one config object (the path query()
-takes, served from the config's cached draws after the first call),
-fde_rankings, query() rankings (ids and scores, every query), also with
+hash and projection product has one column), the query encodings as one
+batch, with d_final, and one query at a time on one config object (the
+path query() takes, served from the config's cached draws after the first
+call), fde_rankings, query() rankings (ids and scores, every query), also with
 k_candidates = final_k (every candidate is kept), with
 the rerank corpus replaced by a float64 copy that is not float32-exact
 and on an index of a corpus whose odd documents repeat the even ones
@@ -37,13 +37,13 @@ PQ codebook trained on a duplicate-heavy sample (fewer distinct slices
 than centers) with the codes it gives, a k-means config (centers, doc
 and query encodings, rankings), the token index's stored tokens and
 owners (dtype included: the corpus dtype, float32 on every workload), and
-sv_candidates with dedup on and off followed by the exact rerank. top_k is also covered at its edges:
-fde_rankings at depth 1 and depth=None (every document), and
-sv_candidates at k_per_query 1 and past the token count; and on its own,
-over a seeded matrix of rounded scores (ties) with NaN and +-inf whose
-length no 8k divides, also with one row all NaN (the full-sort
-fallback), and over the same scores rounded to integers (thousands of
-ties at every cut).
+sv_candidates with dedup on and off followed by the exact rerank. top_k
+is also covered at its edges: fde_rankings at depth 1 and depth=None
+(every document), and sv_candidates at k_per_query 1 and past the token
+count; and on its own, over a seeded matrix of rounded scores (ties)
+with NaN and +-inf whose length no 8k divides, also with one row all NaN
+(the full-sort fallback), and over the same scores rounded to integers
+(thousands of ties at every cut).
 """
 
 from __future__ import annotations
