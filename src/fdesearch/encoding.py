@@ -53,7 +53,7 @@ from .partition import (
     kmeans_train,
     simhash_new,
 )
-from .util import FINAL_PROJ, INNER_PROJ, KMEANS_SAMPLE, TokenCorpus, as_matrix, derive_rng, product
+from .util import FINAL_PROJ, INNER_PROJ, KMEANS_SAMPLE, TokenCorpus, _run_spans, as_matrix, derive_rng, product
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,6 +348,17 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: rang
     written straight in dtype; with d_final the concatenation is assembled
     and projected in float64, and the projection is cast.
 
+    The blocks run on util._run_spans' pool, one thread per usable CPU,
+    when every thread gets more than one block; otherwise (a served query,
+    a small batch, two blocks of a PQ chunk) they run in order on the
+    calling thread. A block writes only its own rows, so the result does
+    not depend on the thread count. Every BLAS product of a block runs on
+    its thread: util.product multiplies in equal row chunks of at most 2^18
+    multiply-adds (OpenBLAS 0.3.31 starts its own thread pool above that)
+    and, once split, at least 2^17 (above the 38 400 where OpenBLAS 0.3.31
+    takes its small-matrix kernel, which rounds unlike the whole product).
+    The sign hash packs its bits by an integer product, without BLAS.
+
     A BLAS product rounds its rows differently when it has few rows (a
     one-row product is a matrix-vector product, a small one takes another
     kernel), so each block's products run over a window of the stack that
@@ -367,7 +378,7 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: rang
     bounds = [0, *(np.flatnonzero(np.diff((ends - lengths) // BLOCK_TOKENS)) + 1), n]
     out = np.empty((n, r, b, t), dtype=np.float64 if final is not None else dtype)
 
-    for lo, hi in zip(bounds, bounds[1:]):
+    def block(lo: int, hi: int) -> None:
         first, last = ends[lo] - lengths[lo], ends[hi - 1]  # the block's tokens
         stop = min(ends[-1], max(last, first + _PRODUCT_ROWS))
         start = max(0, min(first, stop - _PRODUCT_ROWS))
@@ -380,7 +391,8 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: rang
             proj = window if S is None else product(window, S) / np.sqrt(t)
             _rep_block(idx[toks], proj[toks], None if d2 is None else d2[toks], lengths[lo:hi], owner_base,
                        side, config, out[lo:hi, col])
-        del window, idx, d2, proj  # freed before the next block is widened
+
+    _run_spans(block, list(zip(bounds, bounds[1:])))
     out = out.reshape(n, r * b * t)
     if final is not None:
         out = _final_project(out, final).astype(dtype, copy=False)

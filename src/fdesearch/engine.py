@@ -37,7 +37,7 @@ import numpy as np
 from .chamfer import chamfer_top_k
 from .encoding import Fde, FdeConfig, _encode, config_fingerprint, fde_dim
 from .pq import PqCodebook, _train_chunks, check_code_matrix, pq_table_dots
-from .util import TokenCorpus, as_matrix, require_finite, shortlist, top_k
+from .util import TokenCorpus, _run_spans, as_matrix, require_finite, shortlist, top_k
 
 DEFAULT_CARVE_TAU = 0.7  # recall is flat above this threshold; rerank cost is not
 
@@ -72,6 +72,7 @@ class CarvedQuery:
 
 
 _F32_UNIT = 2.0 ** -24  # unit roundoff of float32
+_NORM_SPAN = 1 << 20  # matrix entries a span of _row_norms reads
 
 
 class ExactScanBackend:
@@ -94,16 +95,21 @@ class ExactScanBackend:
     the float32 scan overflows, or d·u > 1/4 where the bound no longer
     holds, every row is rescored (util.shortlist, the rule the exact
     Chamfer rerank shares). No (n, d) float64 array is made.
+
+    The row norms are the one pass over the matrix that checks it: float32
+    squares summed in float64 cannot overflow, so a norm is finite exactly
+    when its row is, and a non-finite row raises ValueError naming its
+    document (the first one). The pass runs on util._run_spans' pool.
     """
 
     def __init__(self, doc_ids: np.ndarray, fdes: np.ndarray):
         self.doc_ids = doc_ids
         self.fdes = fdes
         dim = fdes.shape[1]
-        self._norms = np.sqrt(np.einsum("ij,ij->i", fdes, fdes, dtype=np.float64))
-        # float32 squares cannot overflow float64: a non-finite norm means a non-finite entry
-        if not np.isfinite(self._norms).all():
-            raise ValueError("dense encodings must be finite")
+        self._norms = _row_norms(fdes)
+        bad = np.flatnonzero(~np.isfinite(self._norms))
+        if bad.size:
+            raise ValueError(f"document {doc_ids[bad[0]]} has a non-finite float32 encoding")
         self._coef = 2 * (dim + 4) * _F32_UNIT if dim * _F32_UNIT <= 0.25 else np.inf
         self._floor = dim * 2.0 ** -120
 
@@ -121,6 +127,18 @@ class ExactScanBackend:
         rows = np.arange(len(self.fdes))[rows]
         best = top_k(self.doc_ids[rows], dots, k)
         return rows[best], dots[best]
+
+
+def _row_norms(fdes: np.ndarray) -> np.ndarray:
+    """The float64 norms of the rows of a float32 matrix, in spans of about _NORM_SPAN entries."""
+    sq = np.empty(len(fdes))
+    step = max(1, _NORM_SPAN // fdes.shape[1])
+
+    def span(lo: int, hi: int) -> None:
+        np.einsum("ij,ij->i", fdes[lo:hi], fdes[lo:hi], dtype=np.float64, out=sq[lo:hi])
+
+    _run_spans(span, [(lo, min(lo + step, len(fdes))) for lo in range(0, len(fdes), step)])
+    return np.sqrt(sq, out=sq)
 
 
 class PqScanBackend:
@@ -245,7 +263,10 @@ def build_index(corpus: Sequence, config: FdeConfig, pq: PqSpec | None = None,
     tokens = TokenCorpus(corpus, doc_ids, config.dim)
     ids = tokens.ids
     if pq is None:
-        index = FdeIndex(ids, config, dense=next(_encodings(tokens, config, config.r_reps)))
+        # an overflowed row is rejected, by document, by ExactScanBackend's norm pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            dense = _encode(tokens, "doc", config, np.float32)
+        index = FdeIndex(ids, config, dense=dense)
     else:
         # a chunk is the fewest repetitions whose columns are whole groups; d_final mixes every repetition
         width = config.num_clusters * config.proj_dim
@@ -278,8 +299,7 @@ def _encode_checked(tokens: TokenCorpus, config: FdeConfig, reps: range) -> tupl
     """The float32 document encodings of reps, and the positions of the documents whose encoding overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported, not warned about
         fdes = _encode(tokens, "doc", config, np.float32, reps)
-        # float32 entries cannot overflow a float64 row sum: it is finite exactly when the row is
-        return fdes, np.flatnonzero(~np.isfinite(fdes.sum(axis=1, dtype=np.float64)))
+    return fdes, np.flatnonzero(~np.isfinite(_row_norms(fdes)))
 
 
 def mips_search(index: FdeIndex, query_fde, k_candidates: int):

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import HYPERPLANES, KMEANS_INIT, as_matrix, derive_rng, product
+from .util import HYPERPLANES, KMEANS_INIT, _row_chunks, as_matrix, derive_rng, product
 
 MAX_K_SIM = 24  # 2^24 buckets is already far beyond any sane configuration
 KMEANS_MAX_ITERS = 100  # Lloyd updates at most
 KMEANS_TOL = 1e-4  # stop once the MSE falls by a smaller relative amount
-_BIT_VALUES = 2.0 ** np.arange(MAX_K_SIM)  # bit i-1 of a hash; any sum of them is exact in float64
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +86,8 @@ def assign_with_dists(partitioner, X) -> tuple[np.ndarray, np.ndarray | None]:
         raise ValueError(f"dimension mismatch: points have d={Xa.shape[1]}, partitioner expects {partitioner.dim}")
     if isinstance(partitioner, SimHashPartitioner):
         bits = product(Xa, partitioner.gaussians) > 0.0  # strict: a zero dot is bit 0
-        return (bits @ _BIT_VALUES[:partitioner.k_sim]).astype(np.int64), None
+        # an integer product: exact, and no BLAS call (a float gemv runs on OpenBLAS's pool)
+        return bits @ (1 << np.arange(partitioner.k_sim, dtype=np.int64)), None
     if isinstance(partitioner, KMeansPartitioner):
         d2 = sq_dists(Xa, partitioner.centers)
         return np.argmin(d2, axis=1).astype(np.int64), d2  # ties -> lowest index
@@ -137,12 +137,14 @@ def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, l
     columns of centers whose bits changed (a -0.0/+0.0 flip counts) are
     refreshed, and all of them when more than an eighth moved (past that,
     the strided gather and scatter cost more than they save). The refresh
-    still takes the full product of the points with every center and
-    picks the moved columns from it: BLAS computes the columns past the
-    last multiple of its kernel width with another kernel, so a product
-    with the moved centers alone would round some columns differently.
-    The distances, and so the labels and the history, are bit for bit
-    those of recomputing every column on every update.
+    still takes the product of the points with every center and picks the
+    moved columns from it: BLAS computes the columns past the last
+    multiple of its kernel width with another kernel, so a product with
+    the moved centers alone would round some columns differently. It
+    takes that product one row chunk of util.product at a time, so the
+    distances are the only (n, k) array; each chunk rounds as the whole
+    product does. The distances, and so the labels and the history, are
+    bit for bit those of recomputing every column on every update.
     """
     pts = np.ascontiguousarray(as_matrix(points))  # a strided group slice makes every product slower
     if k < 1:
@@ -154,17 +156,17 @@ def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, l
 
     n, d = pts.shape
     xx, weights = np.sum(pts * pts, axis=1), pts.ravel()  # once per call, not per update
-    # reused across updates, and one block: two separate (n, k) buffers were faulted in afresh on
-    # every call (~700k page faults over pq-1k's 640 groups, against ~3.5k for one block)
-    d2, dots = np.empty((2, n, k_eff))
+    d2 = np.empty((n, k_eff))  # reused across updates
+    strips = _row_chunks(n, k_eff * d)
     history: list[float] = []
     moved = None  # before the first update: every column is computed
     for _ in range(KMEANS_MAX_ITERS):
         if moved is None or 8 * len(moved) > k_eff:
             _sq_from_dots(np.matmul(pts, centers.T, out=d2), xx, np.sum(centers * centers, axis=1))
         elif len(moved):
-            np.matmul(pts, centers.T, out=dots)
-            d2[:, moved] = _sq_from_dots(dots[:, moved], xx, np.sum(centers * centers, axis=1)[moved])
+            cc = np.sum(centers * centers, axis=1)[moved]
+            for lo, hi in zip(strips[:-1], strips[1:]):
+                d2[lo:hi, moved] = _sq_from_dots(product(pts[lo:hi], centers)[:, moved], xx[lo:hi], cc)
         labels = np.argmin(d2, axis=1)
         mse = float(np.maximum(d2.take(np.arange(n) * k_eff + labels), 0.0).mean())
         history.append(mse)

@@ -9,6 +9,9 @@ of each other.
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +30,10 @@ KMEANS_SAMPLE = 0x6E
 # ~40 numpy calls below ~1.2-1.3k entries (one row, k=100: 0.043-0.057 vs 0.063-0.069 ms at 1.2k,
 # 0.062-0.083 vs 0.054-0.080 ms at 1.3k, 0.135-0.148 vs 0.056-0.067 ms at 2k; 2 vCPU, numpy 2.4)
 FULL_SORT_MAX = 1200
+
+# multiply-adds in one chunk of a product: OpenBLAS 0.3.31 runs a call of at most 2^18 of them on
+# the calling thread, without its thread pool (product, _row_chunks)
+_PRODUCT_MACS = 1 << 18
 
 
 def derive_rng(seed: int, purpose: int, rep: int = 0) -> np.random.Generator:
@@ -112,14 +119,68 @@ class TokenCorpus:
         return self.tokens[self.starts[i]:self.starts[i] + self.lengths[i]]
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: the size of _run_spans' pool (tests patch it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_spans(fn, spans: Sequence[tuple[int, int]]) -> None:
+    """Call fn(lo, hi) for every span: on one thread per usable CPU when each thread gets more than
+    one span, else in order on the calling thread.
+
+    Each call runs in its own copy of the caller's context, so numpy's errstate (a context
+    variable) holds in the workers as in the caller. The calls must write disjoint outputs. When
+    some fail, the first failing span's error is raised once every call has returned.
+    """
+    workers = min(_cpus(), len(spans) // 2)
+    if workers < 2:
+        for lo, hi in spans:
+            fn(lo, hi)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        done = [pool.submit(contextvars.copy_context().run, fn, lo, hi) for lo, hi in spans]
+    for future in done:
+        future.result()
+
+
+def _row_chunks(rows: int, macs_per_row: int) -> np.ndarray:
+    """Bounds of the row chunks product() multiplies in, for a product of that many rows of
+    macs_per_row multiply-adds each.
+
+    A chunk holds at most _PRODUCT_MACS multiply-adds when it can, so that OpenBLAS runs it on the
+    calling thread, and a split chunk at least _PRODUCT_MACS / 2 and two rows, so that it rounds
+    like the whole product. The chunk sizes differ by at most one row.
+    """
+    most = _PRODUCT_MACS // macs_per_row  # rows a chunk off the pool holds at most
+    least = max(2, -(-(_PRODUCT_MACS // 2) // macs_per_row))  # rows a split chunk holds at least
+    chunks = max(1, min(-(-rows // most), rows // least)) if most >= least else 1
+    return rows * np.arange(chunks + 1) // chunks
+
+
 def product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """X @ W.T, always as a matrix-matrix product: a one-row W gets a zero row appended and the
-    first column of the product is returned. BLAS computes a one-column product as a
-    matrix-vector product, which rounds X's last rows (M mod 4 in OpenBLAS) with another
-    kernel, so a row's value would depend on how many rows follow it."""
-    if len(W) == 1:
-        return (X @ np.vstack([W, np.zeros_like(W)]).T)[:, :1]
-    return X @ W.T
+    """X @ W.T, bit for bit, multiplied in the row chunks of _row_chunks.
+
+    A chunk of at most _PRODUCT_MACS multiply-adds runs on the calling thread, where a larger
+    OpenBLAS call would start its thread pool and leave the pool spinning for ~0.1 s of CPU
+    after it returns. A chunk of more than 38 400 multiply-adds rounds each row as the whole
+    product does (below that OpenBLAS takes its small-matrix kernel); split chunks keep at
+    least _PRODUCT_MACS / 2. A one-row W gets a zero row appended and the first column of the
+    product is returned: BLAS computes a one-column product as a matrix-vector product, which
+    rounds X's last rows (M mod 4 in OpenBLAS) with another kernel, so a row's value would
+    depend on how many rows follow it. The bounds were measured on OpenBLAS 0.3.31 (Haswell
+    kernels).
+    """
+    one = len(W) == 1
+    if one:
+        W = np.vstack([W, np.zeros_like(W)])
+    bounds = _row_chunks(len(X), W.size)
+    out = np.empty((len(X), len(W)), dtype=np.result_type(X, W))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.matmul(X[lo:hi], W.T, out=out[lo:hi])
+    return out[:, :1] if one else out
 
 
 def shortlist(approx: np.ndarray, slack: np.ndarray, k: int):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdesearch import encoding, partition
+from fdesearch import encoding, engine, partition, util
 from fdesearch.chamfer import nchamfer
 from fdesearch.encoding import (
     FdeConfig,
@@ -25,7 +25,7 @@ from fdesearch.encoding import (
     projection_matrix,
     with_kmeans_partitions,
 )
-from fdesearch.engine import FdeIndex, batch_query, build_index, query
+from fdesearch.engine import FdeIndex, PqSpec, batch_query, build_index, query
 from fdesearch.partition import SimHashPartitioner, assign_many, sq_dists
 from fdesearch.synth import matched_pair
 from fdesearch.util import as_matrix, derive_rng, product
@@ -710,3 +710,97 @@ def test_float32_tokens_encode_as_their_float64_cast(case, block_tokens):
         assert same_bits(generate_doc_fdes(docs32, cfg32), generate_doc_fdes(docs64, cfg64))
         assert same_bits(generate_query_fdes(docs32, cfg32), generate_query_fdes(docs64, cfg64))
         assert same_bits(build_index(docs32, cfg32).dense, build_index(docs64, cfg64).dense)
+
+
+def single_product(X, W):
+    """X @ W.T as one BLAS call, with util.product's zero row for a one-row W."""
+    if len(W) == 1:
+        return (X @ np.vstack([W, np.zeros_like(W)]).T)[:, :1]
+    return X @ W.T
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 20_000), st.integers(1, 64), st.integers(1, 128), st.sampled_from([np.float32, np.float64]),
+       st.integers(0, 2 ** 32 - 1))
+def test_chunked_product_equals_one_product(m, n, k, dtype, seed):
+    rng = np.random.default_rng(seed)
+    X, W = rng.standard_normal((m, k)).astype(dtype), rng.standard_normal((n, k)).astype(dtype)
+    per_row, cap = max(n, 2) * k, util._PRODUCT_MACS
+    rows = np.diff(util._row_chunks(m, per_row))
+    assert rows.sum() == m and np.ptp(rows) <= 1
+    if len(rows) > 1:  # no chunk on OpenBLAS's pool, none near its small-matrix kernel
+        assert rows.min() >= 2 and cap // 2 <= rows.min() * per_row and rows.max() * per_row <= cap
+    else:  # it fits, or two chunks would fall below the floor
+        assert m * per_row <= cap or m // 2 * per_row < cap // 2
+    assert same_bits(product(X, W), single_product(X, W))
+
+
+def pool_of(workers):
+    """Patch the encoder's CPU count, and record the thread pools it opens."""
+    opened = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    return opened, mock.patch.multiple(util, _cpus=lambda: workers, ThreadPoolExecutor=Pool)
+
+
+def test_the_block_pool_gives_the_serial_bytes():
+    rng = np.random.default_rng(42)
+    docs = [rng.standard_normal((int(m), 16)) for m in rng.integers(1, 30, size=120)]
+    stack = np.vstack(docs)
+    configs = [FdeConfig(dim=16, k_sim=4, d_proj=8, r_reps=3, seed=1),
+               FdeConfig(dim=16, k_sim=3, r_reps=2, fill_empty=False, seed=2),
+               FdeConfig(dim=16, k_sim=4, d_proj=4, r_reps=3, d_final=40, seed=3),
+               # one-column products: one hyperplane, one projected coordinate, one center
+               FdeConfig(dim=16, k_sim=1, d_proj=1, r_reps=2, seed=4),
+               with_kmeans_partitions(FdeConfig(dim=16, d_proj=8, r_reps=2, seed=5), stack, b=12),
+               with_kmeans_partitions(FdeConfig(dim=16, d_proj=1, r_reps=2, fill_empty=False, seed=6), stack, b=1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often, so a write lost between blocks would show
+    # ~27 blocks of documents, and spans of a few encodings for the row norms
+    try:
+        with mock.patch.object(encoding, "BLOCK_TOKENS", 64), mock.patch.object(engine, "_NORM_SPAN", 16):
+            for cfg in configs:
+                encodings = {}
+                for workers in (1, 3):
+                    opened, patch = pool_of(workers)
+                    with patch:
+                        index = build_index(docs, cfg)
+                        encodings[workers] = generate_doc_fdes(docs, cfg), index.dense, index.backend._norms
+                    assert opened == ([] if workers == 1 else [3, 3, 3])  # doc encoding, build encoding, row norms
+                assert all(same_bits(a, b) for a, b in zip(encodings[1], encodings[3]))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_late_block_that_overflows_names_its_first_document_from_the_pool():
+    import warnings
+
+    rng = np.random.default_rng(43)
+    docs = [rng.standard_normal((8, 16)) for _ in range(200)]
+    for late in (170, 185):  # finite in float64, not in float32
+        docs[late] = np.full((8, 16), 1e39)
+    cfg = FdeConfig(dim=16, k_sim=3, d_proj=8, r_reps=2)
+    for pq in (None, PqSpec(c=4, g=8)):
+        opened, patch = pool_of(2)
+        with mock.patch.object(encoding, "BLOCK_TOKENS", 64), patch, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="document 170 has"):
+                build_index(docs, cfg, pq=pq)
+        assert opened  # 25 blocks over 2 workers
+
+
+def test_a_served_query_never_opens_the_pool():
+    rng = np.random.default_rng(44)
+    docs = [rng.standard_normal((int(m), 16)) for m in rng.integers(1, 30, size=60)]
+    queries = [rng.standard_normal((int(m), 16)) for m in rng.integers(1, 30, size=8)]
+    index = build_index(docs, FdeConfig(dim=docs[0].shape[1], k_sim=4, d_proj=8, r_reps=4))
+    opened, patch = pool_of(8)
+    with patch:
+        query(index, queries[0], 20, 5, carve_tau=0.7)
+        batch_query(index, queries, 20, 5)
+        generate_query_fdes(queries, index.config)
+    assert opened == []

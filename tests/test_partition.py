@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fdesearch import partition, pq
+from fdesearch import partition, pq, util
 from fdesearch.encoding import FdeConfig, generate_doc_fdes
 from fdesearch.engine import PqSpec, build_index
 from fdesearch.partition import (
@@ -225,13 +225,17 @@ def test_lloyd_kmeans_matches_the_three_term_oracle_bit_for_bit(pts, extra_k, se
     assert [h.hex() for h in history] == [h.hex() for h in want_history]
 
 
-def test_lloyd_kmeans_refreshes_moved_columns_bit_for_bit(monkeypatch):
-    # 16 overlapping blobs keep centers moving for many updates, a few at a time; 12 far groups of
-    # identical points with a -0.0 coordinate give their center a +0.0 there on its first update
+def moving_blobs():
+    """16 overlapping blobs that keep centers moving for many updates, a few at a time, and 12 far groups
+    of identical points with a -0.0 coordinate, which give their center a +0.0 there on its first update."""
     rng = np.random.default_rng(5)
     blobs = np.repeat(rng.uniform(-4, 4, (16, 3)), 28, axis=0) + 2 * rng.standard_normal((448, 3))
     far = np.column_stack([100.0 + 10 * np.arange(12), np.full(12, -0.0), np.full(12, 0.5)])
-    pts, k, seed = np.vstack([blobs, np.repeat(far, 4, axis=0)]), 64, 1
+    return np.vstack([blobs, np.repeat(far, 4, axis=0)])
+
+
+def test_lloyd_kmeans_refreshes_moved_columns_bit_for_bit(monkeypatch):
+    pts, k, seed = moving_blobs(), 64, 1
     refreshed = []
     sq_from_dots = partition._sq_from_dots
 
@@ -251,6 +255,36 @@ def test_lloyd_kmeans_refreshes_moved_columns_bit_for_bit(monkeypatch):
     flipped = start[:, 0] >= 100  # started on a far group, at its -0.0, and ended at the group's mean
     assert flipped.any() and np.signbit(start[flipped, 1]).all() and not np.signbit(centers[flipped, 1]).any()
     assert same_bits(labels, np.argmin(oracle_sq_dists(pts, want_centers), axis=1))
+
+
+def test_lloyd_kmeans_refreshes_in_row_strips_and_holds_one_distance_matrix(monkeypatch):
+    import tracemalloc
+
+    # every point six times: the moved columns are refreshed in 3 strips of util.product's row chunks
+    pts, k, seed = np.repeat(moving_blobs(), 6, axis=0), 64, 1
+    assert len(util._row_chunks(len(pts), k * pts.shape[1])) - 1 == 3
+    refreshed = []
+    sq_from_dots = partition._sq_from_dots
+
+    def spy(t, xx, cc):
+        refreshed.append(t.shape)
+        return sq_from_dots(t, xx, cc)
+
+    monkeypatch.setattr(partition, "_sq_from_dots", spy)
+    centers, history, labels = lloyd_kmeans(pts, k, seed)
+    monkeypatch.undo()
+    want_centers, want_history = oracle_lloyd(pts, k, seed)
+    assert same_bits(centers, want_centers)
+    assert [h.hex() for h in history] == [h.hex() for h in want_history]
+    assert same_bits(labels, np.argmin(oracle_sq_dists(pts, want_centers), axis=1))
+    assert any(rows < len(pts) and cols < k for rows, cols in refreshed)  # strips of the moved columns
+    tracemalloc.start()
+    try:
+        lloyd_kmeans(pts, k, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * len(pts) * k * 8  # one (n, k) float64 array and change; a second one fails this
 
 
 @pytest.mark.parametrize("sample_limit", [None, 100])
