@@ -20,7 +20,7 @@ never fail the check, since they move with the machine.
 
 --baseline DIR records a second checkout (the parent of a change) in the
 same session: every seed and workload runs both trees back to back, and
-which goes first alternates from run to run. The parent's record is
+which goes first alternates over the seeds of each workload. The parent's record is
 written beside --out as <out>.baseline.json, and the new record gets a
 "baseline" entry holding, for each workload and metric, the change/parent
 ratio of the medians and its min and max over the per-seed ratios.
@@ -74,15 +74,14 @@ def summarize(values: list[float]) -> dict:
 
 
 def record(roots: list[Path], workloads: list[str], seeds: list[int], seconds: float) -> list[dict]:
-    """One record per root. Each seed and workload runs every root back to back, the order reversed
-    from one run to the next, so that two roots share the machine's spells."""
+    """One record per root. Each seed and workload runs every root back to back, and which goes
+    first alternates from seed to seed and from workload to workload, so that two roots share the
+    machine's spells and neither always runs first on a workload."""
     runs = [{name: [] for name in workloads} for _ in roots]
     metas = [None] * len(roots)
-    turn = 0
-    for seed in seeds:
-        for name in workloads:
-            order = range(len(roots)) if turn % 2 == 0 else range(len(roots) - 1, -1, -1)
-            turn += 1
+    for i, seed in enumerate(seeds):
+        for j, name in enumerate(workloads):
+            order = range(len(roots)) if (i + j) % 2 == 0 else range(len(roots) - 1, -1, -1)
             for k in order:
                 metas[k], result = run_once(roots[k], name, seed, seconds)
                 runs[k][name].append(result)

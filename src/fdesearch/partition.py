@@ -24,6 +24,9 @@ from .util import HYPERPLANES, KMEANS_INIT, _row_chunks, as_matrix, derive_rng, 
 MAX_K_SIM = 24  # 2^24 buckets is already far beyond any sane configuration
 KMEANS_MAX_ITERS = 100  # Lloyd updates at most
 KMEANS_TOL = 1e-4  # stop once the MSE falls by a smaller relative amount
+# bit i-1 of a hash, as integers: packing the bits is an exact integer product, without BLAS (a float
+# one is a gemv, which OpenBLAS runs on its thread pool above 9216 entries)
+_BIT_VALUES = 1 << np.arange(MAX_K_SIM, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +89,7 @@ def assign_with_dists(partitioner, X) -> tuple[np.ndarray, np.ndarray | None]:
         raise ValueError(f"dimension mismatch: points have d={Xa.shape[1]}, partitioner expects {partitioner.dim}")
     if isinstance(partitioner, SimHashPartitioner):
         bits = product(Xa, partitioner.gaussians) > 0.0  # strict: a zero dot is bit 0
-        # an integer product: exact, and no BLAS call (a float gemv runs on OpenBLAS's pool)
-        return bits @ (1 << np.arange(partitioner.k_sim, dtype=np.int64)), None
+        return bits @ _BIT_VALUES[:partitioner.k_sim], None
     if isinstance(partitioner, KMeansPartitioner):
         d2 = sq_dists(Xa, partitioner.centers)
         return np.argmin(d2, axis=1).astype(np.int64), d2  # ties -> lowest index

@@ -146,7 +146,7 @@ def _run_spans(fn, spans: Sequence[tuple[int, int]]) -> None:
         future.result()
 
 
-def _row_chunks(rows: int, macs_per_row: int) -> np.ndarray:
+def _row_chunks(rows: int, macs_per_row: int) -> list[int]:
     """Bounds of the row chunks product() multiplies in, for a product of that many rows of
     macs_per_row multiply-adds each.
 
@@ -157,7 +157,7 @@ def _row_chunks(rows: int, macs_per_row: int) -> np.ndarray:
     most = _PRODUCT_MACS // macs_per_row  # rows a chunk off the pool holds at most
     least = max(2, -(-(_PRODUCT_MACS // 2) // macs_per_row))  # rows a split chunk holds at least
     chunks = max(1, min(-(-rows // most), rows // least)) if most >= least else 1
-    return rows * np.arange(chunks + 1) // chunks
+    return [rows * i // chunks for i in range(chunks + 1)]
 
 
 def product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -177,9 +177,12 @@ def product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     if one:
         W = np.vstack([W, np.zeros_like(W)])
     bounds = _row_chunks(len(X), W.size)
-    out = np.empty((len(X), len(W)), dtype=np.result_type(X, W))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        np.matmul(X[lo:hi], W.T, out=out[lo:hi])
+    if len(bounds) == 2:  # one call: a served query's products take no chunking overhead
+        out = X @ W.T
+    else:
+        out = np.empty((len(X), len(W)), dtype=np.result_type(X, W))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            np.matmul(X[lo:hi], W.T, out=out[lo:hi])
     return out[:, :1] if one else out
 
 

@@ -48,9 +48,9 @@ def test_baseline_interleaves_the_two_trees_and_records_their_ratios(tmp_path, m
     calls = []
     monkeypatch.setattr(bench_record, "run_once", fake_runs(calls))
     change, parent = bench_record.record([tmp_path / "change", tmp_path / "parent"], ["a", "b"], [1, 2], 1.0)
-    # every seed and workload runs both trees back to back, and the first of them alternates
+    # every seed and workload runs both trees back to back; the first alternates over workloads and seeds
     assert calls == [("change", "a", 1), ("parent", "a", 1), ("parent", "b", 1), ("change", "b", 1),
-                     ("change", "a", 2), ("parent", "a", 2), ("parent", "b", 2), ("change", "b", 2)]
+                     ("parent", "a", 2), ("change", "a", 2), ("change", "b", 2), ("parent", "b", 2)]
     assert parent["workloads"]["a"]["metrics"]["setup_s"]["values"] == [2.0, 3.0]
     ratios = bench_record.pair_ratios(parent, change)
     assert ratios["a"]["setup_s"] == {"ratio": 1.0 / 2.5, "min": 1.0 / 3.0, "max": 0.5}
