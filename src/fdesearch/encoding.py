@@ -37,10 +37,13 @@ it once, on first use, and every later encoding reuses the draws.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import functools
 import hashlib
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,7 +56,7 @@ from .partition import (
     kmeans_train,
     simhash_new,
 )
-from .util import FINAL_PROJ, INNER_PROJ, KMEANS_SAMPLE, TokenCorpus, _run_spans, as_matrix, derive_rng, product
+from .util import FINAL_PROJ, INNER_PROJ, KMEANS_SAMPLE, TokenCorpus, as_matrix, derive_rng, product
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,6 +336,33 @@ def _rep_block(idx: np.ndarray, proj: np.ndarray, d2: np.ndarray | None, lengths
     np.multiply(acc.reshape(t, n, b).transpose(1, 2, 0), scale, out=dest)
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: the size of _run_blocks' pool (tests patch it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(fn, blocks: Sequence[tuple[int, int]]) -> None:
+    """Call fn(lo, hi) for every block: on one thread per usable CPU when each thread gets more than
+    one block, else in order on the calling thread.
+
+    Each call runs in its own copy of the caller's context, so numpy's errstate (a context
+    variable) holds in the workers as in the caller. The calls must write disjoint outputs. When
+    some fail, the first failing block's error is raised once every call has returned.
+    """
+    workers = min(_cpus(), len(blocks) // 2)
+    if workers < 2:
+        for lo, hi in blocks:
+            fn(lo, hi)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        done = [pool.submit(contextvars.copy_context().run, fn, lo, hi) for lo, hi in blocks]
+    for future in done:
+        future.result()
+
+
 def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: range | None = None) -> np.ndarray:
     """Shared query/document encoder over the token sets of a corpus; (n, fde_dim) of dtype.
 
@@ -348,7 +378,7 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: rang
     written straight in dtype; with d_final the concatenation is assembled
     and projected in float64, and the projection is cast.
 
-    The blocks run on util._run_spans' pool, one thread per usable CPU,
+    The blocks run on _run_blocks' pool, one thread per usable CPU,
     when every thread gets more than one block; otherwise (a served query,
     a small batch, two blocks of a PQ chunk) they run in order on the
     calling thread. A block writes only its own rows, so the result does
@@ -392,7 +422,7 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: rang
             _rep_block(idx[toks], proj[toks], None if d2 is None else d2[toks], lengths[lo:hi], owner_base,
                        side, config, out[lo:hi, col])
 
-    _run_spans(block, list(zip(bounds, bounds[1:])))
+    _run_blocks(block, list(zip(bounds, bounds[1:])))
     out = out.reshape(n, r * b * t)
     if final is not None:
         out = _final_project(out, final).astype(dtype, copy=False)

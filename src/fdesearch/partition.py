@@ -27,6 +27,9 @@ KMEANS_TOL = 1e-4  # stop once the MSE falls by a smaller relative amount
 # bit i-1 of a hash, as integers: packing the bits is an exact integer product, without BLAS (a float
 # one is a gemv, which OpenBLAS runs on its thread pool above 9216 entries)
 _BIT_VALUES = 1 << np.arange(MAX_K_SIM, dtype=np.int64)
+# distances a strip of lloyd_kmeans' partial refresh holds (1 MB of float64): few, large strips, since
+# eight strips of 2^18 multiply-adds made pq-1k's build ~5% slower than one product (2 vCPU)
+_STRIP_DISTANCES = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +146,12 @@ def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, l
     moved columns from it: BLAS computes the columns past the last
     multiple of its kernel width with another kernel, so a product with
     the moved centers alone would round some columns differently. It
-    takes that product one row chunk of util.product at a time, so the
-    distances are the only (n, k) array; each chunk rounds as the whole
-    product does. The distances, and so the labels and the history, are
-    bit for bit those of recomputing every column on every update.
+    takes that product one strip of rows at a time (util._row_chunks:
+    at most _STRIP_DISTANCES entries, when that leaves a strip at least
+    2^17 multiply-adds, so it rounds as the whole product does), so the
+    distances are the only (n, k) array. The distances, and so the labels
+    and the history, are bit for bit those of recomputing every column on
+    every update.
     """
     pts = np.ascontiguousarray(as_matrix(points))  # a strided group slice makes every product slower
     if k < 1:
@@ -159,7 +164,7 @@ def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, l
     n, d = pts.shape
     xx, weights = np.sum(pts * pts, axis=1), pts.ravel()  # once per call, not per update
     d2 = np.empty((n, k_eff))  # reused across updates
-    strips = _row_chunks(n, k_eff * d)
+    strips = _row_chunks(n, k_eff * d, _STRIP_DISTANCES * d)
     history: list[float] = []
     moved = None  # before the first update: every column is computed
     for _ in range(KMEANS_MAX_ITERS):
@@ -168,7 +173,7 @@ def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, l
         elif len(moved):
             cc = np.sum(centers * centers, axis=1)[moved]
             for lo, hi in zip(strips[:-1], strips[1:]):
-                d2[lo:hi, moved] = _sq_from_dots(product(pts[lo:hi], centers)[:, moved], xx[lo:hi], cc)
+                d2[lo:hi, moved] = _sq_from_dots((pts[lo:hi] @ centers.T)[:, moved], xx[lo:hi], cc)
         labels = np.argmin(d2, axis=1)
         mse = float(np.maximum(d2.take(np.arange(n) * k_eff + labels), 0.0).mean())
         history.append(mse)

@@ -9,9 +9,6 @@ of each other.
 
 from __future__ import annotations
 
-import contextvars
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -119,42 +116,14 @@ class TokenCorpus:
         return self.tokens[self.starts[i]:self.starts[i] + self.lengths[i]]
 
 
-def _cpus() -> int:
-    """CPUs this process may run on: the size of _run_spans' pool (tests patch it)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def _row_chunks(rows: int, macs_per_row: int, cap: int = _PRODUCT_MACS) -> list[int]:
+    """Bounds of the row chunks of a product of that many rows of macs_per_row multiply-adds each.
 
-
-def _run_spans(fn, spans: Sequence[tuple[int, int]]) -> None:
-    """Call fn(lo, hi) for every span: on one thread per usable CPU when each thread gets more than
-    one span, else in order on the calling thread.
-
-    Each call runs in its own copy of the caller's context, so numpy's errstate (a context
-    variable) holds in the workers as in the caller. The calls must write disjoint outputs. When
-    some fail, the first failing span's error is raised once every call has returned.
+    A chunk holds at most cap multiply-adds when it can (product: _PRODUCT_MACS, so that
+    OpenBLAS runs it on the calling thread), and a split chunk at least _PRODUCT_MACS / 2 and two
+    rows, so that it rounds like the whole product. The chunk sizes differ by at most one row.
     """
-    workers = min(_cpus(), len(spans) // 2)
-    if workers < 2:
-        for lo, hi in spans:
-            fn(lo, hi)
-        return
-    with ThreadPoolExecutor(workers) as pool:
-        done = [pool.submit(contextvars.copy_context().run, fn, lo, hi) for lo, hi in spans]
-    for future in done:
-        future.result()
-
-
-def _row_chunks(rows: int, macs_per_row: int) -> list[int]:
-    """Bounds of the row chunks product() multiplies in, for a product of that many rows of
-    macs_per_row multiply-adds each.
-
-    A chunk holds at most _PRODUCT_MACS multiply-adds when it can, so that OpenBLAS runs it on the
-    calling thread, and a split chunk at least _PRODUCT_MACS / 2 and two rows, so that it rounds
-    like the whole product. The chunk sizes differ by at most one row.
-    """
-    most = _PRODUCT_MACS // macs_per_row  # rows a chunk off the pool holds at most
+    most = cap // macs_per_row  # rows a chunk holds at most
     least = max(2, -(-(_PRODUCT_MACS // 2) // macs_per_row))  # rows a split chunk holds at least
     chunks = max(1, min(-(-rows // most), rows // least)) if most >= least else 1
     return [rows * i // chunks for i in range(chunks + 1)]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdesearch import encoding, engine, partition, util
+from fdesearch import encoding, partition, util
 from fdesearch.chamfer import nchamfer
 from fdesearch.encoding import (
     FdeConfig,
@@ -744,7 +744,7 @@ def pool_of(workers):
             opened.append(max_workers)
             super().__init__(max_workers)
 
-    return opened, mock.patch.multiple(util, _cpus=lambda: workers, ThreadPoolExecutor=Pool)
+    return opened, mock.patch.multiple(encoding, _cpus=lambda: workers, ThreadPoolExecutor=Pool)
 
 
 def test_the_block_pool_gives_the_serial_bytes():
@@ -760,17 +760,16 @@ def test_the_block_pool_gives_the_serial_bytes():
                with_kmeans_partitions(FdeConfig(dim=16, d_proj=1, r_reps=2, fill_empty=False, seed=6), stack, b=1)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads switch often, so a write lost between blocks would show
-    # ~27 blocks of documents, and spans of a few encodings for the row norms
     try:
-        with mock.patch.object(encoding, "BLOCK_TOKENS", 64), mock.patch.object(engine, "_NORM_SPAN", 16):
+        with mock.patch.object(encoding, "BLOCK_TOKENS", 64):  # ~27 blocks
             for cfg in configs:
                 encodings = {}
                 for workers in (1, 3):
                     opened, patch = pool_of(workers)
                     with patch:
                         index = build_index(docs, cfg)
-                        encodings[workers] = generate_doc_fdes(docs, cfg), index.dense, index.backend._norms
-                    assert opened == ([] if workers == 1 else [3, 3, 3])  # doc encoding, build encoding, row norms
+                        encodings[workers] = generate_doc_fdes(docs, cfg), index.dense
+                    assert opened == ([] if workers == 1 else [3, 3])  # generate_doc_fdes, build_index
                 assert all(same_bits(a, b) for a, b in zip(encodings[1], encodings[3]))
     finally:
         sys.setswitchinterval(interval)

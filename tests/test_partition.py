@@ -260,9 +260,9 @@ def test_lloyd_kmeans_refreshes_moved_columns_bit_for_bit(monkeypatch):
 def test_lloyd_kmeans_refreshes_in_row_strips_and_holds_one_distance_matrix(monkeypatch):
     import tracemalloc
 
-    # every point six times: the moved columns are refreshed in 3 strips of util.product's row chunks
-    pts, k, seed = np.repeat(moving_blobs(), 6, axis=0), 64, 1
-    assert len(util._row_chunks(len(pts), k * pts.shape[1])) - 1 == 3
+    # every point 24 times: the moved columns are refreshed in 6 strips of ~1 MB of distances
+    pts, k, seed = np.repeat(moving_blobs(), 24, axis=0), 64, 1
+    assert len(util._row_chunks(len(pts), k * pts.shape[1], partition._STRIP_DISTANCES * pts.shape[1])) - 1 == 6
     refreshed = []
     sq_from_dots = partition._sq_from_dots
 
