@@ -418,9 +418,13 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: rang
         for col, rep in enumerate(reps):
             part, S = draws[rep]
             idx, d2 = assign_with_dists(part, window)
-            proj = window if S is None else product(window, S) / np.sqrt(t)
+            proj = window
+            if S is not None:
+                proj = product(window, S)
+                proj /= np.sqrt(t)  # in place: every thread holds a block's temporaries
             _rep_block(idx[toks], proj[toks], None if d2 is None else d2[toks], lengths[lo:hi], owner_base,
                        side, config, out[lo:hi, col])
+            del idx, d2, proj  # freed before the next repetition assigns
 
     _run_blocks(block, list(zip(bounds, bounds[1:])))
     out = out.reshape(n, r * b * t)

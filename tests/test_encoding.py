@@ -471,7 +471,7 @@ def test_build_index_widens_one_block_of_tokens_at_a_time():
     payload = len(docs) * fde_dim(cfg) * 4
     wide_stack = sum(d.size for d in docs) * 8  # a float64 copy of every token
     with mock.patch.object(encoding, "BLOCK_TOKENS", 256):  # 125 blocks
-        build_index(docs[:2], cfg)
+        build_index(docs, cfg)  # first use: the fill's np.unique imports numpy.ma (~1.1 MB), once
         tracemalloc.start()
         try:
             build_index(docs, cfg)
