@@ -336,23 +336,30 @@ def _rep_block(idx: np.ndarray, proj: np.ndarray, d2: np.ndarray | None, lengths
     np.multiply(acc.reshape(t, n, b).transpose(1, 2, 0), scale, out=dest)
 
 
-def _cpus() -> int:
-    """CPUs this process may run on: the size of _run_blocks' pool (tests patch it)."""
+# most threads _run_blocks runs: each holds a block's float64 window (at least _PRODUCT_ROWS rows),
+# its projection (1.3 MB at dim 32, d_proj 8) and its own glibc malloc arena, so a build's peak grows
+# with the thread count; the speed-up and the peak were measured on 2 CPUs only
+_MAX_WORKERS = 2
+
+
+def _workers() -> int:
+    """Threads of _run_blocks' pool: the CPUs this process may run on, at most _MAX_WORKERS (tests patch it)."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
 
 
 def _run_blocks(fn, blocks: Sequence[tuple[int, int]]) -> None:
-    """Call fn(lo, hi) for every block: on one thread per usable CPU when each thread gets more than
-    one block, else in order on the calling thread.
+    """Call fn(lo, hi) for every block: on _workers() threads when each thread gets more than one
+    block, else in order on the calling thread.
 
     Each call runs in its own copy of the caller's context, so numpy's errstate (a context
     variable) holds in the workers as in the caller. The calls must write disjoint outputs. When
     some fail, the first failing block's error is raised once every call has returned.
     """
-    workers = min(_cpus(), len(blocks) // 2)
+    workers = min(_workers(), len(blocks) // 2)
     if workers < 2:
         for lo, hi in blocks:
             fn(lo, hi)
@@ -378,8 +385,8 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: rang
     written straight in dtype; with d_final the concatenation is assembled
     and projected in float64, and the projection is cast.
 
-    The blocks run on _run_blocks' pool, one thread per usable CPU,
-    when every thread gets more than one block; otherwise (a served query,
+    The blocks run on _run_blocks' pool, one thread per usable CPU up to
+    _MAX_WORKERS, when every thread gets more than one block; otherwise (a served query,
     a small batch, two blocks of a PQ chunk) they run in order on the
     calling thread. A block writes only its own rows, so the result does
     not depend on the thread count. Every BLAS product of a block runs on

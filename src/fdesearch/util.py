@@ -145,13 +145,10 @@ def product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     one = len(W) == 1
     if one:
         W = np.vstack([W, np.zeros_like(W)])
-    if len(X) * W.size <= _PRODUCT_MACS:  # one call (a served query's): ~1 us less than chunking
-        out = X @ W.T
-    else:
-        bounds = _row_chunks(len(X), W.size)
-        out = np.empty((len(X), len(W)), dtype=np.result_type(X, W))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            np.matmul(X[lo:hi], W.T, out=out[lo:hi])
+    bounds = _row_chunks(len(X), max(W.size, 1))  # an empty W: one call
+    out = np.empty((len(X), len(W)), dtype=np.result_type(X, W))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.matmul(X[lo:hi], W.T, out=out[lo:hi])
     return out[:, :1] if one else out
 
 

@@ -470,16 +470,19 @@ def test_build_index_widens_one_block_of_tokens_at_a_time():
     cfg = FdeConfig(dim=32, k_sim=2, d_proj=8, r_reps=2)  # a small payload: 64 dims a document
     payload = len(docs) * fde_dim(cfg) * 4
     wide_stack = sum(d.size for d in docs) * 8  # a float64 copy of every token
-    with mock.patch.object(encoding, "BLOCK_TOKENS", 256):  # 125 blocks
-        build_index(docs, cfg)  # first use: the fill's np.unique imports numpy.ma (~1.1 MB), once
+    workers = encoding._MAX_WORKERS
+    # each worker's block temporaries: a float64 window of _PRODUCT_ROWS tokens and its projection
+    block = encoding._PRODUCT_ROWS * (cfg.dim + cfg.d_proj) * 8
+    with mock.patch.multiple(encoding, BLOCK_TOKENS=256, _workers=lambda: workers):  # 125 blocks
+        build_index(docs[:2], cfg)
         tracemalloc.start()
         try:
             build_index(docs, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # the float32 stack the index keeps is half the float64 copy; the block temporaries are small
-    assert peak < wide_stack + payload
+    # the float32 stack the index keeps is half the float64 copy; each worker holds one block
+    assert peak < wide_stack + payload + workers * block
 
 
 def test_fill_memory_does_not_pad_to_the_longest_document():
@@ -744,7 +747,7 @@ def pool_of(workers):
             opened.append(max_workers)
             super().__init__(max_workers)
 
-    return opened, mock.patch.multiple(encoding, _cpus=lambda: workers, ThreadPoolExecutor=Pool)
+    return opened, mock.patch.multiple(encoding, _workers=lambda: workers, ThreadPoolExecutor=Pool)
 
 
 def test_the_block_pool_gives_the_serial_bytes():
