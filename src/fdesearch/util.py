@@ -145,10 +145,15 @@ def product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     one = len(W) == 1
     if one:
         W = np.vstack([W, np.zeros_like(W)])
-    bounds = _row_chunks(len(X), max(W.size, 1))  # an empty W: one call
-    out = np.empty((len(X), len(W)), dtype=np.result_type(X, W))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        np.matmul(X[lo:hi], W.T, out=out[lo:hi])
+    # one chunk, as every product of a served query: a plain call. Going through the chunk loop
+    # made a 20-repetition query's encoding 0.39 -> 0.58 ms and pq-1k's p50 4% slower (2 vCPU)
+    if len(X) * W.size <= _PRODUCT_MACS:
+        out = X @ W.T
+    else:
+        bounds = _row_chunks(len(X), W.size)
+        out = np.empty((len(X), len(W)), dtype=np.result_type(X, W))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            np.matmul(X[lo:hi], W.T, out=out[lo:hi])
     return out[:, :1] if one else out
 
 
