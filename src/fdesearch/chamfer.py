@@ -26,7 +26,10 @@ import numpy as np
 
 from .util import TokenCorpus, as_matrix, shortlist, top_k
 
-SCREEN_BLOCK = 1 << 21  # entries per screening block: bounds its (tokens, d) gather and (m, tokens) dots
+# entries per screening block: bounds its (tokens, d) gather and (m, tokens) dots. At 2^19 a 64-token
+# query's block holds ~3 MiB, which glibc serves from its heap; 2^21 (~12 MiB) was mapped and unmapped
+# on every query (~1.4k page faults a query on rerank-carve), and 2^18 made perfbench's rerank slower
+SCREEN_BLOCK = 1 << 19
 
 
 def chamfer(Q, P) -> float:

@@ -37,13 +37,10 @@ it once, on first use, and every later encoding reuses the draws.
 
 from __future__ import annotations
 
-import contextvars
 import dataclasses
 import functools
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,7 +53,7 @@ from .partition import (
     kmeans_train,
     simhash_new,
 )
-from .util import FINAL_PROJ, INNER_PROJ, KMEANS_SAMPLE, TokenCorpus, as_matrix, derive_rng, product
+from .util import FINAL_PROJ, INNER_PROJ, KMEANS_SAMPLE, TokenCorpus, _run_pool, as_matrix, derive_rng, product
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,40 +333,6 @@ def _rep_block(idx: np.ndarray, proj: np.ndarray, d2: np.ndarray | None, lengths
     np.multiply(acc.reshape(t, n, b).transpose(1, 2, 0), scale, out=dest)
 
 
-# most threads _run_blocks runs: each holds a block's float64 window (at least _PRODUCT_ROWS rows),
-# its projection (1.3 MB at dim 32, d_proj 8) and its own glibc malloc arena, so a build's peak grows
-# with the thread count; the speed-up and the peak were measured on 2 CPUs only
-_MAX_WORKERS = 2
-
-
-def _workers() -> int:
-    """Threads of _run_blocks' pool: the CPUs this process may run on, at most _MAX_WORKERS (tests patch it)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
-
-
-def _run_blocks(fn, blocks: Sequence[tuple[int, int]]) -> None:
-    """Call fn(lo, hi) for every block: on _workers() threads when each thread gets more than one
-    block, else in order on the calling thread.
-
-    Each call runs in its own copy of the caller's context, so numpy's errstate (a context
-    variable) holds in the workers as in the caller. The calls must write disjoint outputs. When
-    some fail, the first failing block's error is raised once every call has returned.
-    """
-    workers = min(_workers(), len(blocks) // 2)
-    if workers < 2:
-        for lo, hi in blocks:
-            fn(lo, hi)
-        return
-    with ThreadPoolExecutor(workers) as pool:
-        done = [pool.submit(contextvars.copy_context().run, fn, lo, hi) for lo, hi in blocks]
-    for future in done:
-        future.result()
-
-
 def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: range | None = None) -> np.ndarray:
     """Shared query/document encoder over the token sets of a corpus; (n, fde_dim) of dtype.
 
@@ -385,9 +348,9 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: rang
     written straight in dtype; with d_final the concatenation is assembled
     and projected in float64, and the projection is cast.
 
-    The blocks run on _run_blocks' pool, one thread per usable CPU up to
-    _MAX_WORKERS, when every thread gets more than one block; otherwise (a served query,
-    a small batch, two blocks of a PQ chunk) they run in order on the
+    The blocks run on util._run_pool, one thread per usable CPU up to
+    util._MAX_WORKERS, when every thread gets at least two blocks; otherwise (a served
+    query, a small batch, two blocks of a PQ chunk) they run in order on the
     calling thread. A block writes only its own rows, so the result does
     not depend on the thread count. Every BLAS product of a block runs on
     its thread: util.product multiplies in equal row chunks of at most 2^18
@@ -415,7 +378,8 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: rang
     bounds = [0, *(np.flatnonzero(np.diff((ends - lengths) // BLOCK_TOKENS)) + 1), n]
     out = np.empty((n, r, b, t), dtype=np.float64 if final is not None else dtype)
 
-    def block(lo: int, hi: int) -> None:
+    def block(span: tuple[int, int], _) -> None:
+        lo, hi = span
         first, last = ends[lo] - lengths[lo], ends[hi - 1]  # the block's tokens
         stop = min(ends[-1], max(last, first + _PRODUCT_ROWS))
         start = max(0, min(first, stop - _PRODUCT_ROWS))
@@ -433,7 +397,7 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: rang
                        side, config, out[lo:hi, col])
             del idx, d2, proj  # freed before the next repetition assigns
 
-    _run_blocks(block, list(zip(bounds, bounds[1:])))
+    _run_pool(block, list(zip(bounds, bounds[1:])))
     out = out.reshape(n, r * b * t)
     if final is not None:
         out = _final_project(out, final).astype(dtype, copy=False)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import HYPERPLANES, KMEANS_INIT, _row_chunks, as_matrix, derive_rng, product
+from .util import HYPERPLANES, KMEANS_INIT, _row_chunks, _strip_entries, as_matrix, derive_rng, product
 
 MAX_K_SIM = 24  # 2^24 buckets is already far beyond any sane configuration
 KMEANS_MAX_ITERS = 100  # Lloyd updates at most
@@ -27,9 +27,6 @@ KMEANS_TOL = 1e-4  # stop once the MSE falls by a smaller relative amount
 # bit i-1 of a hash, as integers: packing the bits is an exact integer product, without BLAS (a float
 # one is a gemv, which OpenBLAS runs on its thread pool above 9216 entries)
 _BIT_VALUES = 1 << np.arange(MAX_K_SIM, dtype=np.int64)
-# distances a strip of lloyd_kmeans' partial refresh holds (1 MB of float64): few, large strips, since
-# eight strips of 2^18 multiply-adds made pq-1k's build ~5% slower than one product (2 vCPU)
-_STRIP_DISTANCES = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +123,16 @@ def distinct_rows(pts: np.ndarray) -> np.ndarray:
     return rows[changed]
 
 
+class _LloydBuffers:
+    """One thread's buffers for Lloyd runs on up to n points of d dims and k centers: dists for the
+    (n, k) squared distances, and strip for one row chunk (util._row_chunks) of a product of those
+    points, or of `coded` points, with up to k centers (util._strip_entries)."""
+
+    def __init__(self, n: int, k: int, d: int, coded: int = 0):
+        self.dists = np.empty(n * k)
+        self.strip = np.empty(max(_strip_entries(n, k, d), _strip_entries(coded, k, d)))
+
+
 def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, list[float], np.ndarray | None]:
     """Lloyd's algorithm with seeded distinct-point initialization.
 
@@ -145,14 +152,24 @@ def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, l
     still takes the product of the points with every center and picks the
     moved columns from it: BLAS computes the columns past the last
     multiple of its kernel width with another kernel, so a product with
-    the moved centers alone would round some columns differently. It
-    takes that product one strip of rows at a time (util._row_chunks:
-    at most _STRIP_DISTANCES entries, when that leaves a strip at least
-    2^17 multiply-adds, so it rounds as the whole product does), so the
-    distances are the only (n, k) array. The distances, and so the labels
-    and the history, are bit for bit those of recomputing every column on
-    every update.
+    the moved centers alone would round some columns differently.
+
+    Every product is taken in the row chunks of util._row_chunks: at most
+    2^18 multiply-adds, which OpenBLAS runs on the calling thread, and, once
+    split, at least 2^17, so that each rounds as the whole product does (a
+    one-center product is a matrix-vector product, whose rows round by
+    position, and stays one call). A full refresh writes each chunk into the
+    distances; a partial one writes it into one strip buffer and picks the
+    moved columns. The distances, and so the labels and the history, are bit
+    for bit those of one whole product on every update, and the distances
+    and the strip are the only arrays of more than a chunk of points.
     """
+    return _lloyd(points, k, seed, rep, None)
+
+
+def _lloyd(points, k: int, seed: int, rep: int, buffers: _LloydBuffers | None):
+    """lloyd_kmeans, with its distances and strip in buffers (made for at least these points and
+    k; None: made here), so that a pool's workers take no large array from their own heaps."""
     pts = np.ascontiguousarray(as_matrix(points))  # a strided group slice makes every product slower
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -162,18 +179,24 @@ def lloyd_kmeans(points, k: int, seed: int, rep: int = 0) -> tuple[np.ndarray, l
     centers = distinct[rng.choice(distinct.shape[0], size=k_eff, replace=False)].copy()
 
     n, d = pts.shape
+    if buffers is None:
+        buffers = _LloydBuffers(n, k_eff, d)
     xx, weights = np.sum(pts * pts, axis=1), pts.ravel()  # once per call, not per update
-    d2 = np.empty((n, k_eff))  # reused across updates
-    strips = _row_chunks(n, k_eff * d, _STRIP_DISTANCES * d)
+    d2 = buffers.dists[:n * k_eff].reshape(n, k_eff)  # reused across updates
+    bounds = _row_chunks(n, k_eff * d) if k_eff > 1 else [0, n]
+    chunks = list(zip(bounds[:-1], bounds[1:]))
     history: list[float] = []
     moved = None  # before the first update: every column is computed
     for _ in range(KMEANS_MAX_ITERS):
         if moved is None or 8 * len(moved) > k_eff:
-            _sq_from_dots(np.matmul(pts, centers.T, out=d2), xx, np.sum(centers * centers, axis=1))
+            for lo, hi in chunks:
+                np.matmul(pts[lo:hi], centers.T, out=d2[lo:hi])
+            _sq_from_dots(d2, xx, np.sum(centers * centers, axis=1))
         elif len(moved):
             cc = np.sum(centers * centers, axis=1)[moved]
-            for lo, hi in zip(strips[:-1], strips[1:]):
-                d2[lo:hi, moved] = _sq_from_dots((pts[lo:hi] @ centers.T)[:, moved], xx[lo:hi], cc)
+            for lo, hi in chunks:
+                dots = np.matmul(pts[lo:hi], centers.T, out=buffers.strip[:(hi - lo) * k_eff].reshape(hi - lo, k_eff))
+                d2[lo:hi, moved] = _sq_from_dots(dots[:, moved], xx[lo:hi], cc)
         labels = np.argmin(d2, axis=1)
         mse = float(np.maximum(d2.take(np.arange(n) * k_eff + labels), 0.0).mean())
         history.append(mse)

@@ -16,7 +16,19 @@ as its only chunk, and build_index hands it the document encodings a few
 repetitions at a time, so the whole encoding matrix is never held. When
 the core also codes (build_index), a group whose last Lloyd update moved
 no center already has every training vector's code as its labels, so
-only the other groups run the nearest-center pass.
+only the other groups run the nearest-center pass (_nearest, the one
+coding kernel, which pq_encode_many runs too).
+
+A chunk's groups are trained on util._run_pool: one thread per usable
+CPU, at most util._MAX_WORKERS, when every thread gets at least two
+groups. Every product of a Lloyd run or a coding pass is cut into row
+chunks that OpenBLAS runs on the calling thread, so the threads do not
+contend with its own pool. Each thread trains its groups in its own
+(n_sample, C) float64 distance matrix and product strip, made by the
+calling thread (partition._LloydBuffers), so a worker's malloc arena only
+ever holds small temporaries. A group writes only its own rows of the
+centers, effective center counts and codes, so the codebook and codes
+do not depend on the thread count.
 
 A float32 input matrix is kept float32, and so is its sample: only each
 (n, G) group slice is widened to float64, as it is cut. The slices hold
@@ -39,13 +51,14 @@ bit for bit, that sequential sum over all groups.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .partition import lloyd_kmeans, sq_dists
-from .util import PQ_SAMPLE, as_matrix, derive_rng, require_finite
+from .partition import _LloydBuffers, _lloyd, _sq_from_dots
+from .util import PQ_SAMPLE, _row_chunks, _run_pool, _strip_entries, as_matrix, derive_rng, require_finite
 
 TRAIN_SAMPLE_LIMIT = 100_000
 
@@ -125,17 +138,24 @@ def _train_chunks(chunks: Iterable[np.ndarray], n: int, dim: int, c: int, g: int
     centers = np.zeros((num_groups, c, g), dtype=np.float64)
     effective = np.zeros(num_groups, dtype=np.int64)
     codes = np.empty((num_groups, n), dtype=np.uint8) if encode else None
-    grp = 0
+    buffers = functools.partial(_LloydBuffers, n if rows is None else len(rows), c, g, n if encode else 0)
+    first = 0  # the chunk's first group
     for chunk in chunks:
         sample = chunk if rows is None else chunk[rows]
-        for local in range(chunk.shape[1] // g):
-            grp_centers, _, labels = lloyd_kmeans(_group_slice(sample, local, g), c, seed, rep=grp)
+
+        def train(local: int, buf: _LloydBuffers) -> None:  # runs within this chunk's _run_pool call
+            grp = first + local
+            grp_centers, _, labels = _lloyd(_group_slice(sample, local, g), c, seed, grp, buf)
             k = effective[grp] = grp_centers.shape[0]
             centers[grp, :k] = grp_centers
             if encode:  # a subsample's labels are not the codes of every row
-                use_labels = rows is None and labels is not None
-                codes[grp] = labels if use_labels else _nearest(centers[grp, :k], _group_slice(chunk, local, g))
-            grp += 1
+                if rows is None and labels is not None:
+                    codes[grp] = labels
+                else:
+                    _nearest(centers[grp, :k], _group_slice(chunk, local, g), codes[grp], buf.strip)
+
+        _run_pool(train, range(chunk.shape[1] // g), buffers)
+        first += chunk.shape[1] // g
     return PqCodebook(centers=centers, effective_c=effective), None if codes is None else codes.T
 
 
@@ -146,9 +166,10 @@ def pq_encode_many(codebook: PqCodebook, V) -> np.ndarray:
     if Va.shape[1] != codebook.dim:
         raise ValueError(f"dimension mismatch: vectors have d={Va.shape[1]}, codebook expects {codebook.dim}")
     codes = np.empty((codebook.num_groups, Va.shape[0]), dtype=np.uint8)
+    strip = np.empty(_strip_entries(Va.shape[0], codebook.num_centers, codebook.group_dim))
     for grp in range(codebook.num_groups):
         cc = codebook.centers[grp, :codebook.effective_c[grp]]
-        codes[grp] = _nearest(cc, _group_slice(Va, grp, codebook.group_dim))
+        _nearest(cc, _group_slice(Va, grp, codebook.group_dim), codes[grp], strip)
     return codes.T
 
 
@@ -157,8 +178,20 @@ def _group_slice(V: np.ndarray, grp: int, g: int) -> np.ndarray:
     return np.ascontiguousarray(V[:, grp * g:(grp + 1) * g], dtype=np.float64)
 
 
-def _nearest(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
-    return np.argmin(sq_dists(points, centers), axis=1)  # ties -> lowest center
+def _nearest(centers: np.ndarray, points: np.ndarray, out: np.ndarray, strip: np.ndarray) -> None:
+    """Write each point's nearest center (ties to the lowest) into out.
+
+    The squared distances are taken in partition.sq_dists' row chunks (util._row_chunks), one
+    chunk at a time into strip (util._strip_entries long), so the pass holds no (points, centers)
+    matrix and its products run on the calling thread; with two or more centers they are
+    sq_dists', bit for bit (with one, every code is 0).
+    """
+    k = len(centers)
+    xx, cc = np.sum(points * points, axis=1), np.sum(centers * centers, axis=1)
+    bounds = _row_chunks(len(points), k * points.shape[1])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        dots = np.matmul(points[lo:hi], centers.T, out=strip[:(hi - lo) * k].reshape(hi - lo, k))
+        out[lo:hi] = np.argmin(_sq_from_dots(dots, xx[lo:hi], cc), axis=1)
 
 
 def check_code_matrix(codebook: PqCodebook, codes) -> np.ndarray:

@@ -9,7 +9,11 @@ of each other.
 
 from __future__ import annotations
 
-from typing import Sequence
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +35,9 @@ FULL_SORT_MAX = 1200
 # multiply-adds in one chunk of a product: OpenBLAS 0.3.31 runs a call of at most 2^18 of them on
 # the calling thread, without its thread pool (product, _row_chunks)
 _PRODUCT_MACS = 1 << 18
+# most threads _run_pool runs: each holds its own buffers and temporaries and its own glibc malloc
+# arena, so a peak grows with the thread count; the speed-ups and peaks were measured on 2 CPUs only
+_MAX_WORKERS = 2
 
 
 def derive_rng(seed: int, purpose: int, rep: int = 0) -> np.random.Generator:
@@ -116,17 +123,28 @@ class TokenCorpus:
         return self.tokens[self.starts[i]:self.starts[i] + self.lengths[i]]
 
 
-def _row_chunks(rows: int, macs_per_row: int, cap: int = _PRODUCT_MACS) -> list[int]:
+def _chunk_count(rows: int, macs_per_row: int) -> int:
+    """How many row chunks _row_chunks cuts a product of that many rows of macs_per_row multiply-adds into."""
+    most = _PRODUCT_MACS // macs_per_row  # rows a chunk holds at most
+    least = max(2, -(-(_PRODUCT_MACS // 2) // macs_per_row))  # rows a split chunk holds at least
+    return max(1, min(-(-rows // most), rows // least)) if most >= least else 1
+
+
+def _row_chunks(rows: int, macs_per_row: int) -> list[int]:
     """Bounds of the row chunks of a product of that many rows of macs_per_row multiply-adds each.
 
-    A chunk holds at most cap multiply-adds when it can (product: _PRODUCT_MACS, so that
-    OpenBLAS runs it on the calling thread), and a split chunk at least _PRODUCT_MACS / 2 and two
-    rows, so that it rounds like the whole product. The chunk sizes differ by at most one row.
+    A chunk holds at most _PRODUCT_MACS multiply-adds when it can, so that OpenBLAS runs it on the
+    calling thread, and a split chunk at least _PRODUCT_MACS / 2 and two rows, so that it rounds
+    like the whole product. The chunk sizes differ by at most one row.
     """
-    most = cap // macs_per_row  # rows a chunk holds at most
-    least = max(2, -(-(_PRODUCT_MACS // 2) // macs_per_row))  # rows a split chunk holds at least
-    chunks = max(1, min(-(-rows // most), rows // least)) if most >= least else 1
+    chunks = _chunk_count(rows, macs_per_row)
     return [rows * i // chunks for i in range(chunks + 1)]
+
+
+def _strip_entries(rows: int, cols: int, depth: int) -> int:
+    """Entries of the largest row chunk of a product of that many rows with 1 to cols columns of
+    depth multiply-adds each: a strip buffer this long holds any chunk of any of them."""
+    return max(-(-rows // _chunk_count(rows, k * depth)) * k for k in range(1, cols + 1))
 
 
 def product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -155,6 +173,53 @@ def product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             np.matmul(X[lo:hi], W.T, out=out[lo:hi])
     return out[:, :1] if one else out
+
+
+def _workers() -> int:
+    """Threads of _run_pool: the CPUs this process may run on, at most _MAX_WORKERS (tests patch it)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _run_pool(fn: Callable, items: Sequence, scratch: Callable = lambda: None) -> None:
+    """Call fn(item, buffers) for every item: on _workers() threads when each thread gets at least
+    two items, else in order on the calling thread.
+
+    Each thread gets its own buffers = scratch(), all made here on the calling thread, so that
+    large buffers come from the caller's heap and not from a worker's malloc arena; the threads
+    pull items from one shared iterator. Each call runs in its own copy of the caller's context,
+    so numpy's errstate (a context variable) holds in the workers as in the caller. The calls
+    must write disjoint outputs. When some fail, the first failing item's error is raised once
+    every call has returned.
+    """
+    workers = min(_workers(), len(items) // 2)
+    if workers < 2:
+        buffers = scratch()
+        for item in items:
+            fn(item, buffers)
+        return
+    context, todo, lock, failed = contextvars.copy_context(), iter(enumerate(items)), threading.Lock(), {}
+
+    def work(buffers) -> None:
+        while True:
+            with lock:
+                nxt = next(todo, None)
+            if nxt is None:
+                return
+            try:
+                context.copy().run(fn, nxt[1], buffers)
+            except Exception as error:  # raised below, once every call has returned
+                failed[nxt[0]] = error
+
+    with ThreadPoolExecutor(workers) as pool:
+        done = [pool.submit(work, buffers) for buffers in [scratch() for _ in range(workers)]]
+    for future in done:
+        future.result()
+    if failed:
+        raise failed[min(failed)]
 
 
 def shortlist(approx: np.ndarray, slack: np.ndarray, k: int):

@@ -470,10 +470,11 @@ def test_build_index_widens_one_block_of_tokens_at_a_time():
     cfg = FdeConfig(dim=32, k_sim=2, d_proj=8, r_reps=2)  # a small payload: 64 dims a document
     payload = len(docs) * fde_dim(cfg) * 4
     wide_stack = sum(d.size for d in docs) * 8  # a float64 copy of every token
-    workers = encoding._MAX_WORKERS
+    workers = util._MAX_WORKERS
     # each worker's block temporaries: a float64 window of _PRODUCT_ROWS tokens and its projection
     block = encoding._PRODUCT_ROWS * (cfg.dim + cfg.d_proj) * 8
-    with mock.patch.multiple(encoding, BLOCK_TOKENS=256, _workers=lambda: workers):  # 125 blocks
+    # 125 blocks
+    with mock.patch.object(encoding, "BLOCK_TOKENS", 256), mock.patch.object(util, "_workers", lambda: workers):
         build_index(docs[:2], cfg)
         tracemalloc.start()
         try:
@@ -747,7 +748,7 @@ def pool_of(workers):
             opened.append(max_workers)
             super().__init__(max_workers)
 
-    return opened, mock.patch.multiple(encoding, _workers=lambda: workers, ThreadPoolExecutor=Pool)
+    return opened, mock.patch.multiple(util, _workers=lambda: workers, ThreadPoolExecutor=Pool)
 
 
 def test_the_block_pool_gives_the_serial_bytes():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -174,6 +174,8 @@ def oracle_sq_dists(X, C):
 
 
 def oracle_lloyd(pts, k, seed, rep=0):
+    """Lloyd with one whole product per update: (centers, history, labels when the last update moved
+    no center, else None), as lloyd_kmeans returns them."""
     distinct = np.unique(pts, axis=0)
     k_eff = min(k, distinct.shape[0])
     rng = derive_rng(seed, KMEANS_INIT, rep)
@@ -187,12 +189,13 @@ def oracle_lloyd(pts, k, seed, rep=0):
         sums = np.zeros_like(centers)
         np.add.at(sums, labels, pts)
         nonempty = counts > 0
+        before = centers.copy()
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
         if len(history) >= 2:
             prev, cur = history[-2], history[-1]
             if prev <= 0.0 or (prev - cur) / prev < KMEANS_TOL:
                 break
-    return centers, history
+    return centers, history, None if centers.tobytes() != before.tobytes() else labels
 
 
 @st.composite
@@ -220,9 +223,37 @@ def test_lloyd_kmeans_matches_the_three_term_oracle_bit_for_bit(pts, extra_k, se
     distinct = np.unique(pts, axis=0).shape[0]
     k = max(1, distinct + extra_k)  # up to 5 above the number of distinct points
     centers, history, _ = lloyd_kmeans(pts, k, seed, rep=rep)
-    want_centers, want_history = oracle_lloyd(pts, k, seed, rep)
+    want_centers, want_history, _ = oracle_lloyd(pts, k, seed, rep)
     assert same_bits(centers, want_centers)
     assert [h.hex() for h in history] == [h.hex() for h in want_history]
+
+
+@st.composite
+def lloyd_cases(draw):
+    """Up to 3000 points of up to 16 dims, some repeated (k may exceed the distinct points), float64 at
+    three scales or float32, and up to 300 centers: most products split into several row chunks."""
+    n, d, k = draw(st.integers(1, 3000)), draw(st.integers(1, 16)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((draw(st.integers(1, n)), d))
+    pts = base[rng.integers(0, len(base), n)]  # every base row drawn, on average, n / len(base) times
+    if draw(st.booleans()):
+        return pts.astype(np.float32), k
+    return pts * draw(st.sampled_from([1.0, 1e-155, 3e100])), k
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=lloyd_cases(), seed=st.integers(0, 3))
+@example(case=(np.random.default_rng(1).standard_normal((3000, 16)), 300), seed=1)  # 56 row chunks
+@example(case=(np.repeat(np.random.default_rng(2).standard_normal((1000, 8)), 3, axis=0).astype(np.float32), 256),
+         seed=2)
+def test_lloyd_kmeans_matches_one_whole_product_per_update(case, seed):
+    pts, k = case
+    centers, history, labels = lloyd_kmeans(pts, k, seed)
+    want_centers, want_history, want_labels = oracle_lloyd(pts.astype(np.float64), k, seed)
+    assert same_bits(centers, want_centers)
+    assert [h.hex() for h in history] == [h.hex() for h in want_history]
+    assert (labels is None) == (want_labels is None)
+    assert labels is None or same_bits(labels, want_labels)
 
 
 def moving_blobs():
@@ -246,7 +277,7 @@ def test_lloyd_kmeans_refreshes_moved_columns_bit_for_bit(monkeypatch):
     monkeypatch.setattr(partition, "_sq_from_dots", spy)
     centers, history, labels = lloyd_kmeans(pts, k, seed)
     monkeypatch.undo()
-    want_centers, want_history = oracle_lloyd(pts, k, seed)
+    want_centers, want_history, _ = oracle_lloyd(pts, k, seed)
     assert same_bits(centers, want_centers)
     assert [h.hex() for h in history] == [h.hex() for h in want_history]
     assert any(0 < cols < k for cols in refreshed)  # some updates refreshed only the moved columns
@@ -260,9 +291,9 @@ def test_lloyd_kmeans_refreshes_moved_columns_bit_for_bit(monkeypatch):
 def test_lloyd_kmeans_refreshes_in_row_strips_and_holds_one_distance_matrix(monkeypatch):
     import tracemalloc
 
-    # every point 24 times: the moved columns are refreshed in 6 strips of ~1 MB of distances
+    # every point 24 times: the moved columns are refreshed in 9 strips of at most 2^18 multiply-adds
     pts, k, seed = np.repeat(moving_blobs(), 24, axis=0), 64, 1
-    assert len(util._row_chunks(len(pts), k * pts.shape[1], partition._STRIP_DISTANCES * pts.shape[1])) - 1 == 6
+    assert len(util._row_chunks(len(pts), k * pts.shape[1])) - 1 == 9
     refreshed = []
     sq_from_dots = partition._sq_from_dots
 
@@ -273,7 +304,7 @@ def test_lloyd_kmeans_refreshes_in_row_strips_and_holds_one_distance_matrix(monk
     monkeypatch.setattr(partition, "_sq_from_dots", spy)
     centers, history, labels = lloyd_kmeans(pts, k, seed)
     monkeypatch.undo()
-    want_centers, want_history = oracle_lloyd(pts, k, seed)
+    want_centers, want_history, _ = oracle_lloyd(pts, k, seed)
     assert same_bits(centers, want_centers)
     assert [h.hex() for h in history] == [h.hex() for h in want_history]
     assert same_bits(labels, np.argmin(oracle_sq_dists(pts, want_centers), axis=1))
@@ -296,9 +327,9 @@ def test_build_index_codes_equal_pq_encode_many(monkeypatch, sample_limit):
     encoded = []  # one nearest-center pass per group that does not take its training labels
     nearest = pq._nearest
 
-    def spy(centers, points):
+    def spy(centers, points, *buffers):
         encoded.append(len(points))
-        return nearest(centers, points)
+        return nearest(centers, points, *buffers)
 
     monkeypatch.setattr(pq, "_nearest", spy)
     index = build_index(corpus, cfg, pq=spec)
@@ -319,7 +350,7 @@ def test_pq_train_and_encode_match_the_three_term_oracle_bit_for_bit(pts, groups
     g = pts.shape[1]
     book = pq_train(V, c=c, g=g, seed=seed)
     for grp in range(groups):
-        want, _ = oracle_lloyd(V[:, grp * g:(grp + 1) * g], c, seed, grp)
+        want = oracle_lloyd(V[:, grp * g:(grp + 1) * g], c, seed, grp)[0]
         assert book.effective_c[grp] == want.shape[0]
         assert same_bits(book.centers[grp, :want.shape[0]], want)
     # half-integer probes sit exactly between grid centers, so ties must go to the lowest center

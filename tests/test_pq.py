@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fdesearch import pq
+from fdesearch import pq, util
 from fdesearch.encoding import FdeConfig, fde_dim, generate_doc_fdes, with_kmeans_partitions
 from fdesearch.engine import PqSpec, build_index
 from fdesearch.pq import (
@@ -268,3 +271,86 @@ def test_pq_build_never_holds_the_whole_float32_encoding_matrix():
     finally:
         tracemalloc.stop()
     assert peak < len(docs) * fde_dim(cfg) * 4  # the float32 encodings: 16 MB
+
+
+def pool_of(workers):
+    """Patch the pool's CPU count, and record the thread pools it opens."""
+    opened = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    return opened, mock.patch.multiple(util, _workers=lambda: workers, ThreadPoolExecutor=Pool)
+
+
+def test_the_training_pool_gives_the_serial_bytes():
+    rng = np.random.default_rng(50)
+    docs = [rng.standard_normal((int(m), 8)).astype(np.float32) for m in rng.integers(1, 12, size=90)]
+    builds = [(FdeConfig(dim=8, k_sim=3, d_proj=4, r_reps=4, seed=1), PqSpec(c=16, g=4)),  # 8 groups a chunk
+              # 28-column repetitions, chunks of two: 7 groups a chunk, groups 3 and 10 straddle two repetitions
+              (FdeConfig(dim=8, k_sim=2, d_proj=7, r_reps=4, seed=2), PqSpec(c=8, g=8)),
+              (FdeConfig(dim=8, k_sim=3, d_proj=4, r_reps=4, d_final=64, seed=3), PqSpec(c=16, g=4))]  # one chunk
+    V = rng.standard_normal((120, 48)).astype(np.float32)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often, so a write lost between groups would show
+    try:
+        outputs = {}
+        for workers in (1, 2, 3):
+            opened, patch = pool_of(workers)
+            with patch:
+                indexes = [build_index(docs, cfg, pq=spec) for cfg, spec in builds]
+                with mock.patch.object(pq, "TRAIN_SAMPLE_LIMIT", 50):  # below n: training sees a subsample
+                    indexes.append(build_index(docs, *builds[0]))
+                    chunked = pq._train_chunks([V[:, :24], V[:, 24:]], 120, 48, 16, 4, 7, encode=True)
+                    book = pq_train(V, c=16, g=4, seed=7)
+            assert bool(opened) == (workers > 1)
+            got = [(index.codebook, index.codes) for index in indexes] + [chunked, (book, np.zeros(0))]
+            outputs[workers] = [(book.centers.tobytes(), book.effective_c.tobytes(), codes.dtype,
+                                 np.ascontiguousarray(codes).tobytes()) for book, codes in got]
+        assert outputs[1] == outputs[2] == outputs[3]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_late_chunk_that_overflows_names_its_first_document_after_the_pool_trained():
+    import warnings
+
+    rng = np.random.default_rng(51)
+    docs = [rng.standard_normal((3, 3)) for _ in range(200)]
+    # finite in float64; a repetition's float32 encoding (sum of a projection row / sqrt(8)) overflows when
+    # the signs of the two big coordinates agree: seed 69 gives that from repetition 5 for document 170 and
+    # from repetition 3 for document 185, so three chunks train on the pool before either overflows
+    docs[170] = np.array([[5e38, 5e38, 0.0]])
+    docs[185] = np.array([[0.0, 5e38, 5e38]])
+    cfg = FdeConfig(dim=3, k_sim=4, d_proj=1, r_reps=8, seed=69)  # 16-column repetitions: 4 groups a chunk
+    before = threading.active_count()
+    opened, patch = pool_of(2)
+    with patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="document 170 has"):
+            build_index(docs, cfg, pq=PqSpec(c=4, g=4))
+    assert opened == [2, 2, 2]
+    assert threading.active_count() == before  # every worker has been joined
+
+
+def test_the_training_pool_holds_one_distance_matrix_and_strip_a_worker():
+    n, c, g = 1000, 256, 8
+    V = np.random.default_rng(52).standard_normal((n, 8 * g)).astype(np.float32)  # 8 groups
+    peaks = {}
+    for workers in (1, 2, 3):
+        opened, patch = pool_of(workers)
+        with patch:
+            pq_train(V[:50], c=c, g=g, seed=0)
+            tracemalloc.start()
+            try:
+                pq_train(V, c=c, g=g, seed=0)
+                peaks[workers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    # each further worker holds its own (n, c) float64 distances and strip, and its group's temporaries,
+    # a few (n, g) arrays; a second (n, c) matrix a worker fails this
+    buffers = n * c * 8 + util._strip_entries(n, c, g) * 8
+    for workers in (2, 3):
+        assert peaks[workers] - peaks[1] <= (workers - 1) * (buffers + 8 * n * g * 8)

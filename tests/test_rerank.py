@@ -116,6 +116,25 @@ def test_chamfer_one_nn_stacks_the_corpus_once():
     assert one_nn == {i: by_chamfer(q, corpus, range(60), 1)[0][0] for i, (_, q) in enumerate(queries)}
 
 
+def test_rerank_screen_holds_a_few_mib():
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    corpus = TokenCorpus([rng.standard_normal((int(m), 32)).astype(np.float32)
+                          for m in rng.integers(64, 129, size=1000)])
+    Q, rows = rng.standard_normal((64, 32)), rng.permutation(1000)[:500]  # 500 candidates of a 64-token query
+    chamfer_top_k(Q, corpus, rows, 10)
+    tracemalloc.start()
+    try:
+        chamfer_top_k(Q, corpus, rows, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a screening block's (64, tokens) float32 dots and (tokens, 32) gather: 3 MiB at 2^19 entries, small
+    # enough for glibc to keep serving from its heap, where a per-query mapping costs page faults
+    assert peak < 6 * 2**20
+
+
 @pytest.fixture(scope="module")
 def served():
     docs, queries, _ = generate_synthetic(SynthSpec(num_docs=150, num_queries=10, num_clusters=10,
