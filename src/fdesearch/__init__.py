@@ -10,12 +10,10 @@ evaluation harness, binary file formats, and a CLI.
 
 from .chamfer import brute_force_topk, chamfer, nchamfer
 from .encoding import (
-    Fde,
     FdeConfig,
     config_fingerprint,
     fde_dim,
     generate_doc_fdes,
-    generate_query_fde,
     generate_query_fdes,
     with_kmeans_partitions,
 )

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .util import TokenCorpus, as_matrix, shortlist, top_k
+from .util import TokenCorpus, _screen_slack, as_matrix, shortlist, top_k
 
 # entries per screening block: bounds its (tokens, d) gather and (m, tokens) dots. At 2^19 a 64-token
 # query's block holds ~3 MiB, which glibc serves from its heap; 2^21 (~12 MiB) was mapped and unmapped
@@ -54,15 +54,10 @@ def chamfer_top_k(Q, corpus: TokenCorpus, rows, k: int) -> list:
 
     A float32 screen (q32 @ G.T over the gathered tokens, np.maximum.reduceat per document, a
     float64 sum over the m query tokens; blocks of about SCREEN_BLOCK entries) is within
-
-        e_j = 2·(c·N + D)·P_j + 2·(N + D + m)·d·2⁻¹⁴⁹,   c = (d+4)·2⁻²⁴ + (d+2m)·2⁻⁵³,
-
-    of chamfer(Q, doc j); N = Σ‖q_i‖, D = Σ‖q_i − q32_i‖, P_j the largest token norm of document
-    j. It covers the float32 rounding of Q and of a float64 corpus, the float32 dots (underflow
-    included), the float64 dots in chamfer and the float64 sums over query tokens, with a factor-2
-    margin, for d·2⁻²⁴ ≤ 1/4. Only the documents util.shortlist keeps are scored with chamfer;
-    all are when the screen is not finite (overflow, a non-finite token) or d·2⁻²⁴ > 1/4, and
-    when k ≥ len(rows), where the screen is skipped because it could drop none.
+    util._screen_slack of chamfer(Q, doc j): m query tokens, rows rounded when the corpus is not
+    float32, row norm bound the largest token norm of document j. Only the documents
+    util.shortlist keeps are scored with chamfer; all are when the screen or the slack is not
+    finite, and when k ≥ len(rows), where the screen is skipped because it could drop none.
     """
     q = as_matrix(Q)
     m, d = q.shape
@@ -77,9 +72,8 @@ def chamfer_top_k(Q, corpus: TokenCorpus, rows, k: int) -> list:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite screen rescores every document
             q32 = q.astype(np.float32)
             approx = np.concatenate([_screen(q32, corpus, block) for block in blocks])
-            c = (d + 4) * 2.0 ** -24 + (d + 2 * m) * 2.0 ** -53 if d * 2.0 ** -24 <= 0.25 else np.inf
             n, dq = np.linalg.norm(q, axis=1).sum(), np.linalg.norm(q - q32, axis=1).sum()
-            slack = 2 * (c * n + dq) * corpus.norms[rows] + 2 * (n + dq + m) * d * 2.0 ** -149
+            slack = _screen_slack(d, n, dq, corpus.norms[rows], corpus.tokens.dtype != np.float32, m)
         keep = shortlist(approx, slack, k)
     ids = corpus.ids[rows[keep]]
     scores = np.array([chamfer(q, corpus.doc(r)) for r in rows[keep]])

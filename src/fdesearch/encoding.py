@@ -129,14 +129,6 @@ class FdeConfig:
         return reps, None if self.d_final is None else _final_matrix(raw, self.d_final, self.seed)
 
 
-@dataclass(frozen=True, eq=False)
-class Fde:
-    """One query encoding plus the fingerprint of the config it came from."""
-
-    values: np.ndarray
-    fingerprint: str
-
-
 def fde_dim(config: FdeConfig) -> int:
     """Output dimension: d_final if set, else B * d_proj * R_reps."""
     raw = config.num_clusters * config.proj_dim * config.r_reps
@@ -421,7 +413,3 @@ def generate_doc_fdes(docs: Sequence, config: FdeConfig) -> np.ndarray:
     """
     return _encode(TokenCorpus(docs, dim=config.dim), "doc", config, np.float64)
 
-
-def generate_query_fde(Q, config: FdeConfig) -> Fde:
-    """Encode one query with its config's fingerprint, which mips_search checks against the index."""
-    return Fde(values=generate_query_fdes([Q], config)[0], fingerprint=config_fingerprint(config))

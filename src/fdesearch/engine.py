@@ -35,9 +35,9 @@ from typing import Sequence
 import numpy as np
 
 from .chamfer import chamfer_top_k
-from .encoding import Fde, FdeConfig, _encode, config_fingerprint, fde_dim
+from .encoding import FdeConfig, _encode, config_fingerprint, fde_dim
 from .pq import PqCodebook, _train_chunks, check_code_matrix, pq_table_dots
-from .util import TokenCorpus, as_matrix, require_finite, shortlist, top_k
+from .util import TokenCorpus, _screen_slack, as_matrix, require_finite, shortlist, top_k
 
 DEFAULT_CARVE_TAU = 0.7  # recall is flat above this threshold; rerank cost is not
 
@@ -71,29 +71,20 @@ class CarvedQuery:
         return self.vectors.shape[0]
 
 
-_F32_UNIT = 2.0 ** -24  # unit roundoff of float32
-
-
 class ExactScanBackend:
     """Dense MIPS over float32 encodings, ranked exactly as a float64 scan.
 
     ``fdes`` is an (n, d) float32 matrix with finite entries. A query q is
     scanned with one float32 matvec against q32 = float32(q). Row i's
-    float32 dot is within
-
-        e_i = 2·((d+4)·u·‖q‖ + ‖q − q32‖)·‖F_i‖ + d·2⁻¹²⁰,   u = 2⁻²⁴,
-
-    of the float64 rescore: the summation rounding of both scans, the
-    rounding of q to float32 (underflow included) and float32 products
-    that underflow, with a factor-2 margin. Rows whose upper bound lies
-    below the k-th largest lower bound are strictly beaten by k rows and
-    dropped. The rest are rescored in float64 by a non-BLAS einsum, which
-    gives a row the same value whatever other rows are selected (a BLAS
-    gemv does not; the tests check this), and ranked by (-dot, ascending
-    doc id). The result equals that of a float64 scan of every row. When
-    the float32 scan overflows, or d·u > 1/4 where the bound no longer
-    holds, every row is rescored (util.shortlist, the rule the exact
-    Chamfer rerank shares). No (n, d) float64 array is made.
+    float32 dot is within util._screen_slack (one query token, rows not
+    rounded, row norm ‖F_i‖) of the float64 rescore. Rows whose upper
+    bound lies below the k-th largest lower bound are strictly beaten by k
+    rows and dropped (util.shortlist; every row is rescored when the scan
+    overflows or the slack is inf). The rest are rescored in float64 by a
+    non-BLAS einsum, which gives a row the same value whatever other rows
+    are selected (a BLAS gemv does not; the tests check this), and ranked
+    by (-dot, ascending doc id). The result equals that of a float64 scan
+    of every row. No (n, d) float64 array is made.
 
     The row norms are the one pass over the matrix that checks it: a
     non-finite row raises ValueError naming its document (the first one).
@@ -102,14 +93,11 @@ class ExactScanBackend:
     def __init__(self, doc_ids: np.ndarray, fdes: np.ndarray):
         self.doc_ids = doc_ids
         self.fdes = fdes
-        dim = fdes.shape[1]
         self._norms = np.sqrt(np.einsum("ij,ij->i", fdes, fdes, dtype=np.float64))
         # float32 squares cannot overflow float64: a non-finite norm means a non-finite entry
         bad = np.flatnonzero(~np.isfinite(self._norms))
         if bad.size:
             raise ValueError(f"document {doc_ids[bad[0]]} has a non-finite float32 encoding")
-        self._coef = 2 * (dim + 4) * _F32_UNIT if dim * _F32_UNIT <= 0.25 else np.inf
-        self._floor = dim * 2.0 ** -120
 
     def search(self, query_values: np.ndarray, k: int):
         """(positions, dots) of the min(k, n) best rows, best first, ties by ascending doc id."""
@@ -119,7 +107,7 @@ class ExactScanBackend:
         with np.errstate(over="ignore", invalid="ignore"):
             q32 = q.astype(np.float32)
             approx = self.fdes @ q32
-            slack = self._norms * (self._coef * np.linalg.norm(q) + 2 * np.linalg.norm(q - q32)) + self._floor
+            slack = _screen_slack(len(q), np.linalg.norm(q), np.linalg.norm(q - q32), self._norms, False, 1)
         rows = shortlist(approx, slack, k)
         dots = np.einsum("ij,j->i", self.fdes[rows], q, dtype=np.float64, casting="safe")
         rows = np.arange(len(self.fdes))[rows]
@@ -293,12 +281,7 @@ def mips_search(index: FdeIndex, query_fde, k_candidates: int):
     """Top candidates by encoding dot product, ties by ascending doc id."""
     if k_candidates < 1:
         raise ValueError(f"k_candidates must be >= 1, got {k_candidates}")
-    values = query_fde
-    if isinstance(query_fde, Fde):
-        if query_fde.fingerprint != index.fingerprint:
-            raise ValueError("query encoding fingerprint does not match the index; regenerate with the index config")
-        values = query_fde.values
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(query_fde, dtype=np.float64)
     if values.shape != (index.fde_dim,):
         raise ValueError(f"query encoding has shape {values.shape}, index stores dimension {index.fde_dim}")
     rows, dots = index.backend.search(require_finite(values, "query encoding"), k_candidates)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .util import TokenCorpus, as_matrix, top_k
+from .util import TokenCorpus, _screen_slack, _stripe_bound, as_matrix, top_k
 
 _EXACT_BLOCK = 1 << 14  # (query token, index token) pairs scored exactly at once: bounds two (pairs, d) gathers
 
@@ -106,35 +106,25 @@ def _screen(q: np.ndarray, index: TokenIndex, k: int) -> np.ndarray | None:
     """(m, k) positions of each query token's best k index tokens, found through a float32 screen;
     None when the exact path must run instead.
 
-    The screen S = q32 @ t32.T is within
-
-        e_i = 2·(((d+5)·u·‖q_i‖ + ‖q_i − q32_i‖)·T + d·2⁻¹⁴⁹·‖q_i‖) + d·2⁻¹²⁰,   u = 2⁻²⁴,
-
-    of every exact dot of query token i, T the largest index token norm: ExactScanBackend's bound
-    (both sums' rounding, the rounding of q to float32, float32 products that underflow, a
-    factor-2 margin), plus the rounding of a float64 index to float32 (one u, and d·2⁻¹⁴⁹ for
-    tokens that round to subnormals). Row i's stripe peaks (the maxima of its positions j, j+w,
-    j+2w, ..., w = min(n, 8k)) are screen values at w distinct positions, so their k-th best
-    minus e_i bounds the row's k-th best exact dot from below; a pair whose screen value plus e_i
-    lies below that is beaten by k pairs. The rest are scored exactly and ranked by (-dot, position).
+    The screen S = q32 @ t32.T is within e_i = util._screen_slack of every exact dot of query token
+    i (one query token, rows rounded when the index is not float32, row norm bound the largest index
+    token norm). Row i's util._stripe_bound minus e_i bounds its k-th best exact dot from below; a
+    pair whose screen value plus e_i lies below that is beaten by k pairs. The rest are scored
+    exactly and ranked by (-dot, position).
     """
-    (m, d), n, u = q.shape, index.num_tokens, 2.0 ** -24
+    (m, d), n = q.shape, index.num_tokens
     qn = np.sqrt(np.einsum("ij,ij->i", q, q))  # inf when a square overflows; einsum does not warn
     qmax, t = float(qn.max()), float(index.norms.max())  # Python floats overflow to inf silently
     cap = min(4 * k, n // 2)  # tokens a query token may keep; more mostly tie at the cut
     # norms and their products below 1e38 keep every float32 entry, product and partial sum finite
-    if k > cap or d * u > 0.25 or not max(qmax, t, qmax * t) < 1e38:
+    if k > cap or not max(qmax, t, qmax * t) < 1e38:
         return None
     q32 = q.astype(np.float32)
+    slack = _screen_slack(d, qn, np.linalg.norm(q - q32, axis=1), t, index.tokens.dtype != np.float32, 1)
+    if not np.isfinite(slack).all():
+        return None
     screen = q32 @ index.tokens.astype(np.float32, copy=False).T  # (m, n)
-    slack = 2 * (((d + 5) * u * qn + np.linalg.norm(q - q32, axis=1)) * t + d * 2.0 ** -149 * qn)
-    slack += d * 2.0 ** -120
-    w = min(n, 8 * k)
-    whole = n - n % w
-    peaks = screen[:, :whole].reshape(m, -1, w).max(axis=1)
-    np.maximum(peaks[:, :n - whole], screen[:, whole:], out=peaks[:, :n - whole])
-    peaks.partition(w - k, axis=1)
-    cut = peaks[:, w - k] - 2 * slack
+    cut = _stripe_bound(screen, k) - 2 * slack
     cut = np.nextafter(cut.astype(np.float32), np.float32(-np.inf))  # a float32 cut at or below it
     found = []
     for lo in range(0, m, 4):  # a few rows at a time: cache-sized masks, and no pass to count them

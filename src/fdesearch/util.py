@@ -222,6 +222,58 @@ def _run_pool(fn: Callable, items: Sequence, scratch: Callable = lambda: None) -
         raise failed[min(failed)]
 
 
+def _screen_slack(d: int, n, dq, r, rounded: bool, m: int):
+    """How far a float32 screen can be from the float64 value it screens for: the one bound of the
+    package's three float32 screens (ExactScanBackend, chamfer_top_k, the token baseline's scan).
+
+    The screen rounds m query tokens q_i to q32_i = float32(q_i), and a row x to x32 = float32(x)
+    when rounded (else x is float32 already). It takes each dot q32_i·x32 in float32, in any order,
+    fused or not, optionally the maximum of such dots over a document's rows, and sums the m
+    results in float64. The float64 value takes the float64 dots q_i·x instead. For rows of norm
+    at most r, the two differ by at most
+
+        e = 2·(c·n + dq)·r + 2·(m + ρ·(n + dq))·d·2⁻¹⁴⁹,   c = (d+4+ρ)·u + (d+2m)·2⁻⁵³,   u = 2⁻²⁴,
+
+    where n = Σ‖q_i‖, dq = Σ‖q_i − q32_i‖ and ρ = 1 for rounded rows. With η = 2⁻¹⁵⁰, the largest
+    error of rounding into float32's subnormal range, and γ = d·u/(1 − d·u) ≤ (4/3)·d·u, one
+    query token's dot moves by at most:
+    - the float32 dot: γ·‖q32_i‖·‖x32‖ + d·η, as each of the d products may land on the
+      subnormal grid (sums of subnormals are exact);
+    - the rounding of the query: ‖q_i − q32_i‖·‖x32‖;
+    - the rounding of a rounded row: ‖q_i‖·(u·‖x‖ + √d·η);
+    - the float64 dot: 1.01·d·2⁻⁵³·‖q_i‖·‖x‖ (its underflow, below d·2⁻¹⁰⁷⁵, is under the floor);
+    with ‖q32_i‖ ≤ ‖q_i‖ + ‖q_i − q32_i‖ and ‖x32‖ ≤ (1 + ρ·u)·‖x‖ + ρ·√d·η. A maximum over
+    rows moves by at most the largest of their moves. The two float64 sums of m terms add at most
+    1.01·m·2⁻⁵³ times their magnitudes, at most 1.34·n·r to first order. Summed over the query
+    tokens, the first-order terms come to (4/3·d·u + ρ·u + 1.4·(d + 2m)·2⁻⁵³)·n·r + 1.34·dq·r +
+    (m + ρ·(n + dq))·d·η. e exceeds that: its factor 2 covers the 4/3, and the 4u of c the
+    second-order terms and the float64 rounding of n, dq, r and e themselves.
+
+    The bound needs d·u ≤ 1/4. Beyond that the slack is inf, as it is when n, dq or r overflow:
+    a screen then rescores every row. n, dq and r may be arrays; they broadcast.
+    """
+    if d * 2.0 ** -24 > 0.25:
+        return np.inf
+    c = (d + 4 + rounded) * 2.0 ** -24 + (d + 2 * m) * 2.0 ** -53
+    return 2 * (c * n + dq) * r + 2 * (m + rounded * (n + dq)) * d * 2.0 ** -149
+
+
+def _stripe_bound(scores: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th best stripe maximum, a lower bound on its k-th best score (0 < k <= n; NaN
+    when fewer than k stripes hold a number). A row is cut into w = min(n, 8k) stripes (positions
+    j, j+w, j+2w, ...), whose NaN-ignoring maxima are entries at w distinct positions of the row,
+    so at least k entries reach their k-th best."""
+    rows, n = scores.shape
+    w = min(n, 8 * k)
+    whole = n - n % w
+    # one reduce over the stripes of a (rows, n//w, w) view: ~4x faster than max over short blocks
+    peaks = np.fmax.reduce(scores[:, :whole].reshape(rows, -1, w), axis=1)
+    np.fmax(peaks[:, :n - whole], scores[:, whole:], out=peaks[:, :n - whole])
+    np.negative(peaks, out=peaks)
+    peaks.partition(k - 1, axis=1)  # partition puts NaN last, as the ranking does
+    return -peaks[:, k - 1]
+
+
 def shortlist(approx: np.ndarray, slack: np.ndarray, k: int):
     """Positions whose upper bound approx + slack reaches the k-th largest lower bound approx - slack
     (the others are strictly beaten by k; ties at the cut stay); all (slice(None)) if any is not finite."""
@@ -244,10 +296,8 @@ def top_k(ids, scores, k: int) -> np.ndarray:
     scoring at least a row's k-th best score are sorted, and the scores are
     never copied. A row is cut in two steps:
 
-    1. Split it into w = min(n, 8k) stripes (positions j, j+w, j+2w, ...)
-       and take each stripe's NaN-ignoring maximum. The maxima are entries
-       at w distinct positions of the row, so their k-th best is a lower
-       bound on the row's k-th best score: at least k entries reach it.
+    1. The k-th best of its stripe maxima (_stripe_bound) is a lower bound
+       on the row's k-th best score: at least k entries reach it.
     2. The entries reaching that bound (about k of them on untied data) go
        into a small NaN-padded matrix, whose partition at k-1 gives each
        row's exact k-th best score. Every entry at least that good is
@@ -265,14 +315,8 @@ def top_k(ids, scores, k: int) -> np.ndarray:
     n = scores.shape[-1]
     if 0 < k < n and scores.size > FULL_SORT_MAX:
         flat = scores.reshape(-1, n)
-        rows, w = len(flat), min(n, 8 * k)
-        whole = n - n % w
-        # one reduce over the stripes of a (rows, n//w, w) view: ~4x faster than max over short blocks
-        peaks = np.fmax.reduce(flat[:, :whole].reshape(rows, -1, w), axis=1)
-        np.fmax(peaks[:, :n - whole], flat[:, whole:], out=peaks[:, :n - whole])
-        np.negative(peaks, out=peaks)
-        peaks.partition(k - 1, axis=1)  # partition puts NaN last, as the ranking does
-        bound = -peaks[:, k - 1:k]
+        rows = len(flat)
+        bound = _stripe_bound(flat, k)[:, None]
         if not np.isnan(bound).any():
             hits = np.flatnonzero(flat >= bound)  # ~10x faster than 2-D nonzero
             if len(hits) > 2 * rows * k:  # mostly ties at the bound: keep only the ones that can rank

@@ -1,6 +1,6 @@
 """The README quickstart and the demos' imports keep working against the package, every public
-function or class of the package has a caller outside the tests, and so does every defaulted
-parameter of a public function."""
+function or class of the package has a caller outside the tests, so does every defaulted
+parameter of a public function, and only util spells a float32 rounding constant."""
 
 import ast
 import importlib
@@ -11,10 +11,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# Public names that only tests may call. generate_query_fde makes the Fde whose fingerprint
-# mips_search checks against the index (test_mips_fingerprint_check); that guard has no simpler form.
-TEST_ONLY_PUBLIC = {"generate_query_fde"}
 
 # Defaulted parameters that only tests pass, as (function, parameter). cli passes
 # read_text_embeddings(normalize=) through the local name `read`, which the call audit cannot follow.
@@ -68,7 +64,7 @@ def test_public_functions_have_a_non_test_caller():
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-    unused = [f"{module}: {node.name}" for module, node in public_nodes() if node.name not in loaded | TEST_ONLY_PUBLIC]
+    unused = [f"{module}: {node.name}" for module, node in public_nodes() if node.name not in loaded]
     assert not unused, f"public names with no caller outside the tests: {unused}"
 
 
@@ -124,3 +120,25 @@ def test_defaulted_parameters_have_a_non_test_caller():
     unset = [f"{module}: {node.name}({name}=)" for module, node in public_nodes() if isinstance(node, ast.FunctionDef)
              for name, _ in defaulted(node) if (node.name, name) not in is_set | TEST_ONLY_PARAMS]
     assert not unset, f"defaulted parameters that no caller outside the tests passes: {unset}"
+
+
+# exponents of the float32 unit roundoff (2^-24), float64's (2^-53), float32's least normal (2^-126)
+# and subnormal (2^-149), and 2^-120, a looser floor for float32 products that underflow
+ROUNDING_EXPONENTS = {24, 53, 120, 126, 149}
+
+
+def rounding_constants(tree) -> list:
+    """Line numbers of each 2 ** -e (or 2.0 ** -e) with e a float32 or float64 rounding exponent."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Constant) and node.left.value == 2
+            and isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)
+            and isinstance(node.right.operand, ast.Constant) and node.right.operand.value in ROUNDING_EXPONENTS]
+
+
+def test_only_util_spells_a_float32_rounding_constant():
+    """The float32 screens share util._screen_slack: a module deriving its own bound would spell one."""
+    found = {path.name: rounding_constants(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert found.pop("util.py"), "util no longer spells the screen's constants: update this guard"
+    assert not {name: lines for name, lines in found.items() if lines}, "float32 rounding constants outside util"

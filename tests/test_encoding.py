@@ -19,7 +19,6 @@ from fdesearch.encoding import (
     config_params,
     fde_dim,
     generate_doc_fdes,
-    generate_query_fde,
     generate_query_fdes,
     partitioner_for_rep,
     projection_matrix,
@@ -84,9 +83,7 @@ def test_single_point_query_has_one_nonzero_block_equal_to_it():
     cfg = FdeConfig(dim=6, k_sim=1, r_reps=1, seed=3)
     rng = np.random.default_rng(1)
     q = unit_rows(rng, 1, 6)
-    out = generate_query_fde(q, cfg)
-    assert out.fingerprint == config_fingerprint(cfg)
-    blocks = out.values.reshape(2, 6)
+    blocks = generate_query_fdes([q], cfg)[0].reshape(2, 6)
     nonzero = [k for k in range(2) if np.any(blocks[k] != 0)]
     assert len(nonzero) == 1
     assert np.array_equal(blocks[nonzero[0]], q[0])
@@ -299,11 +296,11 @@ def test_kmeans_partitioned_encoding():
     assert fde_dim(cfg) == 4 * 8 * 2
     Q = unit_rows(rng, 3, 8)
     P = unit_rows(rng, 5, 8)
-    fq = generate_query_fde(Q, cfg)
+    fq = generate_query_fdes([Q], cfg)[0]
     fp = generate_doc_fdes([P], cfg)[0]
-    assert fq.values.shape == (64,)
+    assert fq.shape == (64,)
     assert np.all(np.isfinite(fp))
-    assert fq.fingerprint == build_index([P], cfg).fingerprint
+    assert config_fingerprint(cfg) == build_index([P], cfg).fingerprint
     # kmeans fill: every block of a one-point document equals that point
     single = generate_doc_fdes([P[:1]], cfg)[0].reshape(2 * 4, 8)
     for block in single:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdesearch.chamfer import brute_force_topk, chamfer
-from fdesearch.encoding import FdeConfig, fde_dim, generate_query_fde, generate_query_fdes, projection_matrix
+from fdesearch.encoding import FdeConfig, fde_dim, generate_query_fdes, projection_matrix
 from fdesearch.engine import FdeIndex, PqSpec, ball_carve, batch_query, build_index, mips_search, query
 from fdesearch.pq import PqCodebook, pq_decode_many
 from fdesearch.synth import SynthSpec, generate_synthetic
@@ -44,9 +44,9 @@ def test_build_validation():
 def test_mips_full_ranking_matches_sorted_dots(small_dataset):
     corpus, queries, _ = small_dataset
     index = build_index(corpus, CFG)
-    qfde = generate_query_fde(queries[0], CFG)
+    qfde = generate_query_fdes([queries[0]], CFG)[0]
     got = mips_search(index, qfde, k_candidates=len(corpus))
-    dots = index.dense.astype(np.float64) @ qfde.values
+    dots = index.dense.astype(np.float64) @ qfde
     expected = sorted(range(len(corpus)), key=lambda i: (-dots[i], i))
     assert [doc for doc, _ in got] == expected
 
@@ -64,21 +64,13 @@ def test_mips_finds_a_planted_orthogonal_encoding():
     assert top_dot == pytest.approx(float(v @ v), abs=1e-6)
 
 
-def test_mips_fingerprint_check(small_dataset):
-    corpus, queries, _ = small_dataset
-    index = build_index(corpus, CFG)
-    other = generate_query_fde(queries[0], FdeConfig(dim=32, k_sim=4, d_proj=8, r_reps=6, seed=99))
-    with pytest.raises(ValueError):
-        mips_search(index, other, 5)
-
-
 def test_pq_index_dots_equal_decode_then_dot(small_dataset):
     corpus, queries, _ = small_dataset
     index = build_index(corpus, CFG, pq=PqSpec(c=16, g=8))
-    qfde = generate_query_fde(queries[0], CFG)
+    qfde = generate_query_fdes([queries[0]], CFG)[0]
     got = mips_search(index, qfde, k_candidates=len(corpus))
     decoded = pq_decode_many(index.codebook, index.codes)
-    dots = decoded @ qfde.values
+    dots = decoded @ qfde
     expected = sorted(range(len(corpus)), key=lambda i: (-dots[i], i))
     assert [doc for doc, _ in got] == expected
     for doc, dot in got[:10]:
