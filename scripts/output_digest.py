@@ -43,7 +43,8 @@ is also covered at its edges: fde_rankings at depth 1 and depth=None
 count; and on its own, over a seeded matrix of rounded scores (ties)
 with NaN and +-inf whose length no 8k divides, also with one row all NaN
 (the full-sort fallback), and over the same scores rounded to integers
-(thousands of ties at every cut).
+(thousands of ties at every cut). ball_carve's groups and group sums are
+covered for every query at tau 0.7, on every workload.
 """
 
 from __future__ import annotations
@@ -136,6 +137,10 @@ def digest_workload(wl, seed: int, got: dict) -> None:
         emit(f"top_k.k={k}", top_k(ids, scores, k))
         emit(f"top_k.k={k}.nan_row", top_k(ids, np.vstack([scores, np.full(scores.shape[1], np.nan)]), k))
         emit(f"top_k.k={k}.integers", top_k(ids, np.round(scores), k))
+    carves = [fs.ball_carve(Q, 0.7) for Q in queries]
+    emit("ball_carve.tau=0.7.members", [c.members for c in carves])
+    emit("ball_carve.tau=0.7.vectors", [c.vectors for c in carves])
+    del carves
 
     if wl.config is None:
         tindex = fs.build_token_index(corpus)

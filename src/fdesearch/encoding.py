@@ -33,6 +33,9 @@ All randomness is derived from (seed, purpose, repetition), so query and
 document sides generated with equal configs share the same partitions and
 projections, and generation order cannot change outputs. A config draws
 it once, on first use, and every later encoding reuses the draws.
+Documents are encoded in blocks, one repetition at a time (_encode); a
+query alone, every repetition at once (_encode_query: one product with the
+stacked partitions, one with the stacked projections, one bincount).
 """
 
 from __future__ import annotations
@@ -47,11 +50,13 @@ from typing import Sequence
 import numpy as np
 
 from .partition import (
+    _BIT_VALUES,
     MAX_K_SIM,
     KMeansPartitioner,
     assign_with_dists,
     kmeans_train,
     simhash_new,
+    sq_dists,
 )
 from .util import FINAL_PROJ, INNER_PROJ, KMEANS_SAMPLE, TokenCorpus, _run_pool, as_matrix, derive_rng, product
 
@@ -118,15 +123,18 @@ class FdeConfig:
 
     @functools.cached_property
     def _draws(self) -> tuple[tuple, np.ndarray | None]:
-        """Each repetition's (partitioner, projection or None), and the final matrix or None.
-
-        Drawn on first use and kept: the config is frozen, so they cannot go
-        stale. Concurrent first uses draw the same values, so a race only
-        repeats the work.
-        """
+        """Each repetition's (partitioner, projection or None), and the final matrix or None: drawn on first
+        use and kept (the config is frozen); concurrent first uses draw the same values, as for _stacked."""
         reps = tuple((partitioner_for_rep(self, rep), projection_matrix(self, rep)) for rep in range(self.r_reps))
         raw = self.num_clusters * self.proj_dim * self.r_reps
         return reps, None if self.d_final is None else _final_matrix(raw, self.d_final, self.seed)
+
+    @functools.cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """_draws' hyperplanes (R * k_sim, d) or centers (R * B, d), and projections (R * d_proj, d) or None."""
+        reps = self._draws[0]
+        parts = np.vstack([p.gaussians if self.partitioner == "simhash" else p.centers for p, _ in reps])
+        return parts, None if reps[0][1] is None else np.vstack([S for _, S in reps])
 
 
 def fde_dim(config: FdeConfig) -> int:
@@ -289,27 +297,18 @@ def _hamming_fill(empty: np.ndarray, cell: np.ndarray, b: int, k_sim: int,
 
 
 def _rep_block(idx: np.ndarray, proj: np.ndarray, d2: np.ndarray | None, lengths: np.ndarray,
-               owner_base: np.ndarray, side: str, config: FdeConfig, dest: np.ndarray) -> None:
+               owner_base: np.ndarray, config: FdeConfig, dest: np.ndarray) -> None:
     """Write one repetition's part of the encodings of n consecutive documents into dest (n, B, d_proj).
 
     idx, proj and d2 are the assignments, projected tokens and (k-means)
     center distances of the documents' stacked tokens, and owner_base is
-    B times each token's document. Sums are taken from 0 in token order,
-    the order a per-document sum takes, so each cluster block is bit for
-    bit what encoding the document alone gives: one bincount per
-    coordinate on the document side, one flat bincount over every
-    (cell, coordinate) on the query side, where a served query has too few
-    tokens for d_proj calls to pay. Document blocks are centroids, and
-    empty cells are filled as configured: by _hamming_fill with sign
-    hashing, by _fill_tokens with k-means partitions.
+    B times each token's document. Each coordinate's bincount sums from 0
+    in token order, as a per-document sum does, so each block is bit for
+    bit what the document alone gives. Blocks are centroids; empty cells
+    are filled as configured (_hamming_fill, or _fill_tokens for k-means).
     """
     n, b, t = dest.shape
     cell = owner_base + idx
-    scale = 1.0 / math.sqrt(config.r_reps)
-    if side == "query":
-        acc = np.bincount((cell[:, None] * t + np.arange(t)).ravel(), weights=proj.ravel(), minlength=n * b * t)
-        np.multiply(acc.reshape(n, b, t), scale, out=dest)
-        return
     acc = np.empty((t, n * b))
     for j in range(t):
         acc[j] = np.bincount(cell, weights=proj[:, j], minlength=n * b)
@@ -322,49 +321,37 @@ def _rep_block(idx: np.ndarray, proj: np.ndarray, d2: np.ndarray | None, lengths
         else:
             fill = _fill_tokens(empty, b, np.cumsum(lengths) - lengths, lengths, idx, d2)
         acc[:, empty] = proj[fill].T
-    np.multiply(acc.reshape(t, n, b).transpose(1, 2, 0), scale, out=dest)
+    np.multiply(acc.reshape(t, n, b).transpose(1, 2, 0), 1.0 / math.sqrt(config.r_reps), out=dest)
 
 
-def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: range | None = None) -> np.ndarray:
-    """Shared query/document encoder over the token sets of a corpus; (n, fde_dim) of dtype.
+def _encode(tokens: TokenCorpus, config: FdeConfig, dtype, reps: range | None = None) -> np.ndarray:
+    """Document encoder over the token sets of a corpus; (n, fde_dim) of dtype.
 
     tokens must hold config.dim columns. reps, when given, encodes only
     those repetitions: the (n, len(reps) * B * d_proj) columns of the
     encoding they fill, bit for bit (not with d_final, which mixes every
-    repetition). The documents go in blocks of
-    consecutive documents holding about BLOCK_TOKENS tokens (a served
-    query is one block). Each block is widened to float64 on its own, and
-    every repetition assigns, projects and encodes it (_rep_block), so
-    neither a float64 copy of the whole stack nor a whole-stack
-    per-repetition temporary is ever held. Without d_final the result is
-    written straight in dtype; with d_final the concatenation is assembled
-    and projected in float64, and the projection is cast.
+    repetition). The documents go in blocks of consecutive documents
+    holding about BLOCK_TOKENS tokens. Each block is widened to float64 on
+    its own, and every repetition assigns, projects and encodes it
+    (_rep_block), so no float64 copy of the whole stack and no whole-stack
+    per-repetition temporary is held. Without d_final the result is written
+    in dtype; with d_final it is projected in float64 and then cast.
 
-    The blocks run on util._run_pool, one thread per usable CPU up to
-    util._MAX_WORKERS, when every thread gets at least two blocks; otherwise (a served
-    query, a small batch, two blocks of a PQ chunk) they run in order on the
-    calling thread. A block writes only its own rows, so the result does
-    not depend on the thread count. Every BLAS product of a block runs on
-    its thread: util.product multiplies in equal row chunks of at most 2^18
-    multiply-adds (OpenBLAS 0.3.31 starts its own thread pool above that)
-    and, once split, at least 2^17 (above the 38 400 where OpenBLAS 0.3.31
-    takes its small-matrix kernel, which rounds unlike the whole product).
-    The sign hash packs its bits by an integer product, without BLAS.
+    The blocks run on util._run_pool when every thread gets at least two
+    blocks, else in order on the calling thread. A block writes only its
+    own rows, so the result does not depend on the thread count. Every
+    BLAS product of a block runs on its thread (util.product's row chunks).
 
     A BLAS product rounds its rows differently when it has few rows (a
     one-row product is a matrix-vector product, a small one takes another
     kernel), so each block's products run over a window of the stack that
-    holds the block and at least _PRODUCT_ROWS rows, or the whole stack
-    when it is shorter: a stack of up to _PRODUCT_ROWS tokens gets exactly
-    the whole-stack products, and a longer one gets products of a size
-    that rounds like them.
+    holds the block and at least _PRODUCT_ROWS rows (or the whole stack):
+    products of a size that rounds like the whole-stack ones.
     """
     lengths = tokens.lengths
     draws, final = config._draws
     reps = range(config.r_reps) if reps is None else reps
-    b = config.num_clusters
-    t = config.proj_dim
-    n, r = len(lengths), len(reps)
+    n, r, b, t = len(lengths), len(reps), config.num_clusters, config.proj_dim
     ends = np.cumsum(lengths)
     # a block holds the documents whose first token falls in one BLOCK_TOKENS span
     bounds = [0, *(np.flatnonzero(np.diff((ends - lengths) // BLOCK_TOKENS)) + 1), n]
@@ -386,7 +373,7 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: rang
                 proj = product(window, S)
                 proj /= np.sqrt(t)  # in place: every thread holds a block's temporaries
             _rep_block(idx[toks], proj[toks], None if d2 is None else d2[toks], lengths[lo:hi], owner_base,
-                       side, config, out[lo:hi, col])
+                       config, out[lo:hi, col])
             del idx, d2, proj  # freed before the next repetition assigns
 
     _run_pool(block, list(zip(bounds, bounds[1:])))
@@ -396,13 +383,33 @@ def _encode(tokens: TokenCorpus, side: str, config: FdeConfig, dtype, reps: rang
     return out
 
 
+def _encode_query(X: np.ndarray, config: FdeConfig) -> np.ndarray:
+    """One query's (fde_dim,) float64 encoding from its (m, dim) tokens X, every repetition at once.
+
+    The cells come from one product with the stacked hyperplanes (bits seen (m, R, k_sim)) or one
+    sq_dists to the stacked centers (argmin over each repetition's B columns); one bincount over every
+    (repetition, cell, coordinate) sums each cell from 0 in token order."""
+    (parts, S), final = config._stacked, config._draws[1]
+    m, r, b, t = len(X), config.r_reps, config.num_clusters, config.proj_dim
+    X = X.astype(np.float64, copy=False)
+    if config.partitioner == "simhash":
+        cells = (product(X, parts) > 0.0).reshape(m, r, config.k_sim) @ _BIT_VALUES[:config.k_sim]
+    else:
+        cells = sq_dists(X, parts).reshape(m, r, b).argmin(axis=2)  # ties -> lowest center
+    proj = np.broadcast_to(X[:, None], (m, r, t)) if S is None else product(X, S) / np.sqrt(t)
+    bins = ((np.arange(r) * b + cells)[:, :, None] * t + np.arange(t)).ravel()
+    out = np.bincount(bins, weights=proj.ravel(), minlength=r * b * t) * (1.0 / math.sqrt(r))
+    return out if final is None else _final_project(out[None], final)[0]
+
+
 def generate_query_fdes(queries: Sequence, config: FdeConfig) -> np.ndarray:
-    """Encode a batch of queries; returns an (n, fde_dim) float64 matrix.
+    """Encode a batch of queries; returns an (n, fde_dim) float64 matrix, each row as the query alone gives.
 
     The queries are checked as a TokenCorpus of width config.dim: a
     non-finite token raises ValueError naming the query's position.
     """
-    return _encode(TokenCorpus(queries, dim=config.dim, name="query"), "query", config, np.float64)
+    q = TokenCorpus(queries, dim=config.dim, name="query")
+    return np.vstack([_encode_query(q.doc(i), config) for i in range(len(q))])
 
 
 def generate_doc_fdes(docs: Sequence, config: FdeConfig) -> np.ndarray:
@@ -411,5 +418,5 @@ def generate_doc_fdes(docs: Sequence, config: FdeConfig) -> np.ndarray:
     The documents are checked as a TokenCorpus of width config.dim: a
     non-finite token raises ValueError naming the document's position.
     """
-    return _encode(TokenCorpus(docs, dim=config.dim), "doc", config, np.float64)
+    return _encode(TokenCorpus(docs, dim=config.dim), config, np.float64)
 

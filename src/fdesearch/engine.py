@@ -35,9 +35,9 @@ from typing import Sequence
 import numpy as np
 
 from .chamfer import chamfer_top_k
-from .encoding import FdeConfig, _encode, config_fingerprint, fde_dim
+from .encoding import FdeConfig, _encode, _encode_query, config_fingerprint, fde_dim
 from .pq import PqCodebook, _train_chunks, check_code_matrix, pq_table_dots
-from .util import TokenCorpus, _screen_slack, as_matrix, require_finite, shortlist, top_k
+from .util import TokenCorpus, _screen_slack, as_matrix, product, require_finite, shortlist, top_k
 
 DEFAULT_CARVE_TAU = 0.7  # recall is flat above this threshold; rerank cost is not
 
@@ -56,7 +56,7 @@ class RetrievalResult:
 
     ranking: list  # [(doc_id, chamfer_score)] best first, ties by ascending id
     candidates_retrieved: int
-    timings: dict = field(default_factory=dict)  # seconds: fde_gen, mips, rerank
+    timings: dict = field(default_factory=dict)  # seconds: fde_gen, mips, carve, rerank
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +239,7 @@ def build_index(corpus: Sequence, config: FdeConfig, pq: PqSpec | None = None,
     if pq is None:
         # ExactScanBackend's norm pass rejects an overflowed row, naming its document
         with np.errstate(over="ignore", invalid="ignore"):
-            dense = _encode(tokens, "doc", config, np.float32)
+            dense = _encode(tokens, config, np.float32)
         index = FdeIndex(ids, config, dense=dense)
     else:
         # a chunk is the fewest repetitions whose columns are whole groups; d_final mixes every repetition
@@ -272,7 +272,7 @@ def _encodings(tokens: TokenCorpus, config: FdeConfig, step: int):
 def _encode_checked(tokens: TokenCorpus, config: FdeConfig, reps: range) -> tuple[np.ndarray, np.ndarray]:
     """The float32 document encodings of reps, and the positions of the documents whose encoding overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported, not warned about
-        fdes = _encode(tokens, "doc", config, np.float32, reps)
+        fdes = _encode(tokens, config, np.float32, reps)
         # float32 entries cannot overflow a float64 row sum: it is finite exactly when the row is
         return fdes, np.flatnonzero(~np.isfinite(fdes.sum(axis=1, dtype=np.float64)))
 
@@ -293,26 +293,21 @@ def ball_carve(Q, tau: float) -> CarvedQuery:
 
     Walks tokens in ascending index order; each still-unclustered token
     absorbs every later unclustered token whose dot product with it is at
-    least tau. Each group contributes the sum of its members, so the total
-    of all output vectors equals the total of the input rows.
+    least tau, read from one Gram matrix of the tokens. Each group
+    contributes the sum of its members, taken from 0 in member order (one
+    bincount), so the total of all outputs equals that of the input rows.
     """
     X = as_matrix(Q)
-    m = X.shape[0]
-    unused = np.ones(m, dtype=bool)
-    groups: list[tuple[int, ...]] = []
-    for i in range(m):
-        if not unused[i]:
-            continue
-        unused[i] = False
-        members = [i]
-        if unused.any():
-            rest = np.flatnonzero(unused)
-            close = rest[(X[rest] @ X[i]) >= tau]
-            members.extend(int(j) for j in close)
-            unused[close] = False
-        groups.append(tuple(members))
-    vectors = np.vstack([X[list(g)].sum(axis=0) for g in groups])
-    return CarvedQuery(vectors=vectors, members=tuple(groups))
+    G, unused, groups = product(X, X), np.ones(len(X), dtype=bool), []
+    for i in range(len(X)):
+        if unused[i]:
+            unused[i] = False
+            groups.append(np.append(i, np.flatnonzero(unused & (G[i] >= tau))))
+            unused[groups[-1]] = False
+    k, d = len(groups), X.shape[1]
+    cells = (np.repeat(np.arange(k) * d, list(map(len, groups)))[:, None] + np.arange(d)).ravel()
+    sums = np.bincount(cells, weights=X[np.concatenate(groups)].ravel(), minlength=k * d).reshape(k, d)
+    return CarvedQuery(vectors=sums, members=tuple(tuple(g.tolist()) for g in groups))
 
 
 def query(index: FdeIndex, Q, k_candidates: int, final_k: int,
@@ -331,18 +326,16 @@ def query(index: FdeIndex, Q, k_candidates: int, final_k: int,
     t0 = time.perf_counter()
     q = TokenCorpus([Q], dim=index.config.dim, name="query")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed encoding is rejected below
-        qvals = _encode(q, "query", index.config, np.float64)[0]
+        qvals = _encode_query(q.tokens, index.config)
     t1 = time.perf_counter()
     rows, _ = index.backend.search(require_finite(qvals, "query encoding"), k_candidates)
     t2 = time.perf_counter()
     rerank_q = ball_carve(q.tokens, carve_tau).vectors if carve_tau is not None else q.tokens
-    ranking = chamfer_top_k(rerank_q, index._tokens(), rows, final_k)
     t3 = time.perf_counter()
-    return RetrievalResult(
-        ranking=ranking,
-        candidates_retrieved=len(rows),
-        timings={"fde_gen": t1 - t0, "mips": t2 - t1, "rerank": t3 - t2},
-    )
+    ranking = chamfer_top_k(rerank_q, index._tokens(), rows, final_k)
+    t4 = time.perf_counter()
+    timings = {"fde_gen": t1 - t0, "mips": t2 - t1, "carve": t3 - t2, "rerank": t4 - t3}
+    return RetrievalResult(ranking=ranking, candidates_retrieved=len(rows), timings=timings)
 
 
 def batch_query(index: FdeIndex, queries: Sequence, k_candidates: int, final_k: int,

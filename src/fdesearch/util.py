@@ -157,7 +157,7 @@ def product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     least _PRODUCT_MACS / 2. A one-row W gets a zero row appended and the first column of the
     product is returned: BLAS computes a one-column product as a matrix-vector product, which
     rounds X's last rows (M mod 4 in OpenBLAS) with another kernel, so a row's value would
-    depend on how many rows follow it. The bounds were measured on OpenBLAS 0.3.31 (Haswell
+    depend on how many rows follow it. The bounds were measured on OpenBLAS 0.3.31 (SkylakeX
     kernels).
     """
     one = len(W) == 1

@@ -34,6 +34,8 @@ def test_build_query_eval_round_trip(dataset_dir, tmp_path, capsys):
                    "--queries", str(dataset_dir / "queries.mvec"), "--out", str(run_path),
                    "--k-candidates", "60", "--final-k", "5"])
     assert rc == 0
+    printed = capsys.readouterr().out
+    assert all(f"{stage}=" in printed for stage in ("fde_gen", "mips", "carve", "rerank"))
 
     meta, run = read_run(run_path)
     assert meta["k_candidates"] == "60"

@@ -526,11 +526,10 @@ def test_config_params_lists_every_scalar_field_once():
     assert config_fingerprint(FdeConfig(**params)) == config_fingerprint(cfg)
 
 
-def per_document_oracle(matrices, side, config):
-    """The per-document encoder loop the batch encoder replaced, kept as its bit-exact reference."""
+def per_document_oracle(matrices, config):
+    """The per-document encoder loop the batch document encoder replaced, kept as its bit-exact reference."""
     mats = [as_matrix(m) for m in matrices]
     b, t, r = config.num_clusters, config.proj_dim, config.r_reps
-    fill = config.fill_empty and side == "doc"
     stacked = np.vstack(mats)
     bounds = np.cumsum([0] + [m.shape[0] for m in mats])
     out = np.zeros((len(mats), b * t * r), dtype=np.float64)
@@ -546,21 +545,53 @@ def per_document_oracle(matrices, side, config):
             proj = proj_all[lo:hi]
             acc = np.zeros((b, t), dtype=np.float64)
             np.add.at(acc, idx, proj)
-            if side == "doc":
-                counts = np.bincount(idx, minlength=b)
-                nonempty = counts > 0
-                acc[nonempty] /= counts[nonempty, None]
-                if fill and not nonempty.all():
-                    empty = np.flatnonzero(~nonempty)
-                    if isinstance(part, SimHashPartitioner):
-                        dist = np.bitwise_count(idx[:, None] ^ empty[None, :])
-                    else:
-                        dist = sq_dists(stacked[lo:hi], part.centers[empty])
-                    acc[empty] = proj[np.argmin(dist, axis=0)]
+            counts = np.bincount(idx, minlength=b)
+            nonempty = counts > 0
+            acc[nonempty] /= counts[nonempty, None]
+            if config.fill_empty and not nonempty.all():
+                empty = np.flatnonzero(~nonempty)
+                if isinstance(part, SimHashPartitioner):
+                    dist = np.bitwise_count(idx[:, None] ^ empty[None, :])
+                else:
+                    dist = sq_dists(stacked[lo:hi], part.centers[empty])
+                acc[empty] = proj[np.argmin(dist, axis=0)]
             out[j, base:base + b * t] = acc.ravel()
     out *= 1.0 / np.sqrt(r)
     if config.d_final is not None:
         out = _final_project(out, _final_matrix(out.shape[1], config.d_final, config.seed))
+    return out
+
+
+def per_query_oracle(queries, config):
+    """Each query alone, repetition by repetition, summed with np.add.at; its hash bits (or center
+    distances) and projections are the columns of one product with every repetition's hyperplanes
+    (or centers) and projections stacked, the products that define a query's encoding."""
+    b, t, r = config.num_clusters, config.proj_dim, config.r_reps
+    parts = [partitioner_for_rep(config, rep) for rep in range(r)]
+    projs = [projection_matrix(config, rep) for rep in range(r)]
+    simhash = isinstance(parts[0], SimHashPartitioner)
+    out = np.zeros((len(queries), b * t * r), dtype=np.float64)
+    for j, Q in enumerate(queries):
+        X = as_matrix(Q)
+        if simhash:
+            dots = product(X, np.vstack([p.gaussians for p in parts]))
+        else:
+            d2 = sq_dists(X, np.vstack([p.centers for p in parts]))
+        proj_all = X if projs[0] is None else product(X, np.vstack(projs)) / np.sqrt(t)
+        for rep in range(r):
+            if simhash:
+                k = config.k_sim
+                idx = (dots[:, rep * k:(rep + 1) * k] > 0) @ (1 << np.arange(k))
+            else:
+                idx = np.argmin(d2[:, rep * b:(rep + 1) * b], axis=1)
+            proj = proj_all if projs[0] is None else proj_all[:, rep * t:(rep + 1) * t]
+            acc = np.zeros((b, t), dtype=np.float64)
+            np.add.at(acc, idx, proj)
+            out[j, rep * b * t:(rep + 1) * b * t] = acc.ravel()
+    out *= 1.0 / np.sqrt(r)
+    if config.d_final is not None:  # one query at a time, as each is encoded alone
+        final = _final_matrix(out.shape[1], config.d_final, config.seed)
+        out = np.vstack([_final_project(row[None], final) for row in out])
     return out
 
 
@@ -593,12 +624,22 @@ def encoder_cases(draw):
 @given(encoder_cases(), st.sampled_from([1, 2, 5, 40, encoding.BLOCK_TOKENS]))
 def test_batch_encoder_equals_the_per_document_loop(case, block_tokens):
     cfg, docs = case
-    want_doc = per_document_oracle(docs, "doc", cfg)
+    want_doc = per_document_oracle(docs, cfg)
     with mock.patch.object(encoding, "BLOCK_TOKENS", block_tokens):  # from one document per block to one block
-        assert same_bits(generate_query_fdes(docs, cfg), per_document_oracle(docs, "query", cfg))
+        assert same_bits(generate_query_fdes(docs, cfg), per_query_oracle(docs, cfg))
         assert same_bits(generate_doc_fdes(docs, cfg), want_doc)
         # build_index encodes straight to float32; the result is the rounded float64 encoding
         assert same_bits(build_index(docs, cfg).dense, want_doc.astype(np.float32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(encoder_cases(), st.booleans())
+def test_a_batch_encodes_each_query_as_it_alone(case, long_query):
+    cfg, queries = case
+    if long_query:  # longer than the document encoder's product window
+        queries = [*queries, np.random.default_rng(len(queries)).standard_normal((encoding._PRODUCT_ROWS + 3, cfg.dim))]
+    batch = generate_query_fdes(queries, cfg)
+    assert all(same_bits(row[None], generate_query_fdes([Q], cfg)) for row, Q in zip(batch, queries))
 
 
 @pytest.mark.parametrize("block_tokens", [3, 200, 5000])
@@ -649,8 +690,8 @@ def test_a_replaced_config_encodes_as_a_fresh_one():
     for seed in (2, 3):
         fresh = FdeConfig(dim=8, k_sim=3, d_proj=4, r_reps=3, d_final=20, seed=seed)
         replaced = dataclasses.replace(base, seed=seed)
-        for side, encode in (("doc", generate_doc_fdes), ("query", generate_query_fdes)):
-            want = per_document_oracle(docs, side, fresh)  # draws afresh, bypassing any cache
+        for oracle, encode in ((per_document_oracle, generate_doc_fdes), (per_query_oracle, generate_query_fdes)):
+            want = oracle(docs, fresh)  # draws afresh, bypassing any cache
             assert same_bits(encode(docs, replaced), want) and same_bits(encode(docs, fresh), want)
 
 

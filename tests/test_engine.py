@@ -2,12 +2,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdesearch.chamfer import brute_force_topk, chamfer
 from fdesearch.encoding import FdeConfig, fde_dim, generate_query_fdes, projection_matrix
 from fdesearch.engine import FdeIndex, PqSpec, ball_carve, batch_query, build_index, mips_search, query
 from fdesearch.pq import PqCodebook, pq_decode_many
 from fdesearch.synth import SynthSpec, generate_synthetic
+from fdesearch.util import product
 
 
 def unit_rows(rng, m, d):
@@ -111,6 +114,44 @@ def test_ball_carve_conserves_the_token_sum():
         assert sorted(i for g in carved.members for i in g) == list(range(10))
 
 
+def scalar_carve(X, G, tau):
+    """The greedy grouping one token pair at a time, its dots read from G; each group's sum is
+    added member by member, from 0, in order."""
+    group = [None] * len(X)
+    members = []
+    for i in range(len(X)):
+        if group[i] is None:
+            group[i] = len(members)
+            members.append([i])
+            for j in range(i + 1, len(X)):
+                if group[j] is None and G[i, j] >= tau:
+                    group[j] = group[i]
+                    members[-1].append(j)
+    sums = []
+    for g in members:
+        v = np.zeros(X.shape[1])
+        for j in g:
+            v = v + X[j]
+        sums.append(v)
+    return tuple(map(tuple, members)), np.array(sums)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 8), st.one_of(st.sampled_from([0.0, 0.5, 0.7, 1.0]), st.floats(-1, 1.5)),
+       st.sampled_from(["unit", "grid", "repeats"]), st.integers(0, 2 ** 32 - 1))
+def test_ball_carve_matches_a_scalar_greedy_oracle(m, d, tau, kind, seed):
+    rng = np.random.default_rng(seed)
+    X = unit_rows(rng, m, d)
+    if kind == "grid":  # dots exactly at tau, and duplicate tokens
+        X = np.round(2 * X) / 2
+    elif kind == "repeats":
+        X = X[rng.integers(0, max(1, m // 3), size=m)]
+    members, sums = scalar_carve(X, product(X, X), tau)
+    carved = ball_carve(X, tau)
+    assert carved.members == members
+    assert carved.vectors.dtype == sums.dtype and carved.vectors.tobytes() == sums.tobytes()
+
+
 def test_carved_chamfer_equals_sum_of_group_maxima():
     rng = np.random.default_rng(7)
     Q = unit_rows(rng, 8, 6)
@@ -128,7 +169,9 @@ def test_exhaustive_rerank_equals_brute_force(small_dataset):
         res = query(index, Q, k_candidates=n, final_k=5)
         assert res.ranking == brute_force_topk(Q, corpus, 5)
         assert res.candidates_retrieved == n
-        assert set(res.timings) == {"fde_gen", "mips", "rerank"}
+        assert set(res.timings) == {"fde_gen", "mips", "carve", "rerank"}
+    carved = query(index, queries[0], k_candidates=n, final_k=5, carve_tau=0.7).timings
+    assert list(carved) == ["fde_gen", "mips", "carve", "rerank"] and min(carved.values()) > 0
 
 
 def test_high_tau_carving_is_identical_to_no_carving(small_dataset):
