@@ -171,9 +171,8 @@ def _cmd_query(args) -> int:
         "final_k": args.final_k, "carve_tau": args.carve_tau, **config_params(index.config),
     }
     dataio.write_run(args.out, run, meta)
-    total = {k: sum(r.timings[k] for r in results) for k in (results[0].timings if results else ())}
-    print(f"ran {len(results)} queries; total seconds: "
-          + ", ".join(f"{k}={v:.3f}" for k, v in total.items()))
+    total = ", ".join(f"{k}={sum(r.timings[k] for r in results):.3f}" for k in (results[0].timings if results else ()))
+    print(f"ran {len(results)} queries; total seconds: {total}")
     return 0
 
 

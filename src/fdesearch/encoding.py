@@ -338,9 +338,8 @@ def _encode(tokens: TokenCorpus, config: FdeConfig, dtype, reps: range | None = 
     in dtype; with d_final it is projected in float64 and then cast.
 
     The blocks run on util._run_pool when every thread gets at least two
-    blocks, else in order on the calling thread. A block writes only its
-    own rows, so the result does not depend on the thread count. Every
-    BLAS product of a block runs on its thread (util.product's row chunks).
+    blocks, else on the calling thread; a block writes only its own rows and
+    runs its BLAS products on its thread, so threads cannot change the result.
 
     A BLAS product rounds its rows differently when it has few rows (a
     one-row product is a matrix-vector product, a small one takes another

@@ -40,6 +40,7 @@ from .pq import PqCodebook, _train_chunks, check_code_matrix, pq_table_dots
 from .util import TokenCorpus, _screen_slack, as_matrix, product, require_finite, shortlist, top_k
 
 DEFAULT_CARVE_TAU = 0.7  # recall is flat above this threshold; rerank cost is not
+_GRAM_ROWS = 256  # ball_carve holds the dots of this many tokens with every token: memory linear in the tokens
 
 
 @dataclass(frozen=True)
@@ -293,20 +294,21 @@ def ball_carve(Q, tau: float) -> CarvedQuery:
 
     Walks tokens in ascending index order; each still-unclustered token
     absorbs every later unclustered token whose dot product with it is at
-    least tau, read from one Gram matrix of the tokens. Each group
-    contributes the sum of its members, taken from 0 in member order (one
+    least tau, read from the Gram rows of _GRAM_ROWS tokens at a time (one
+    product). Each group's sum is taken from 0 in member order (one
     bincount), so the total of all outputs equals that of the input rows.
     """
     X = as_matrix(Q)
-    G, unused, groups = product(X, X), np.ones(len(X), dtype=bool), []
+    unused, groups = np.ones(len(X), dtype=bool), []
     for i in range(len(X)):
+        if i % _GRAM_ROWS == 0:
+            G = product(X[i:i + _GRAM_ROWS], X)
         if unused[i]:
             unused[i] = False
-            groups.append(np.append(i, np.flatnonzero(unused & (G[i] >= tau))))
+            groups.append(np.append(i, np.flatnonzero(unused & (G[i % _GRAM_ROWS] >= tau))))
             unused[groups[-1]] = False
-    k, d = len(groups), X.shape[1]
-    cells = (np.repeat(np.arange(k) * d, list(map(len, groups)))[:, None] + np.arange(d)).ravel()
-    sums = np.bincount(cells, weights=X[np.concatenate(groups)].ravel(), minlength=k * d).reshape(k, d)
+    cells = np.repeat(np.arange(len(groups)), list(map(len, groups)))[:, None] * X.shape[1] + np.arange(X.shape[1])
+    sums = np.bincount(cells.ravel(), weights=X[np.concatenate(groups)].ravel()).reshape(len(groups), -1)
     return CarvedQuery(vectors=sums, members=tuple(tuple(g.tolist()) for g in groups))
 
 

@@ -1,10 +1,12 @@
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdesearch import engine
 from fdesearch.chamfer import brute_force_topk, chamfer
 from fdesearch.encoding import FdeConfig, fde_dim, generate_query_fdes, projection_matrix
 from fdesearch.engine import FdeIndex, PqSpec, ball_carve, batch_query, build_index, mips_search, query
@@ -138,16 +140,19 @@ def scalar_carve(X, G, tau):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 8), st.one_of(st.sampled_from([0.0, 0.5, 0.7, 1.0]), st.floats(-1, 1.5)),
-       st.sampled_from(["unit", "grid", "repeats"]), st.integers(0, 2 ** 32 - 1))
-def test_ball_carve_matches_a_scalar_greedy_oracle(m, d, tau, kind, seed):
+       st.sampled_from(["unit", "grid", "repeats"]), st.sampled_from([1, 3, engine._GRAM_ROWS]),
+       st.integers(0, 2 ** 32 - 1))
+def test_ball_carve_matches_a_scalar_greedy_oracle(m, d, tau, kind, gram_rows, seed):
     rng = np.random.default_rng(seed)
     X = unit_rows(rng, m, d)
     if kind == "grid":  # dots exactly at tau, and duplicate tokens
         X = np.round(2 * X) / 2
     elif kind == "repeats":
         X = X[rng.integers(0, max(1, m // 3), size=m)]
-    members, sums = scalar_carve(X, product(X, X), tau)
-    carved = ball_carve(X, tau)
+    G = np.vstack([product(X[i:i + gram_rows], X) for i in range(0, m, gram_rows)])  # the carve's Gram rows
+    members, sums = scalar_carve(X, G, tau)
+    with mock.patch.object(engine, "_GRAM_ROWS", gram_rows):
+        carved = ball_carve(X, tau)
     assert carved.members == members
     assert carved.vectors.dtype == sums.dtype and carved.vectors.tobytes() == sums.tobytes()
 
